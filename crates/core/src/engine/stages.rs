@@ -8,7 +8,7 @@
 //! corresponding free functions.
 
 use super::context::{RunContext, StageEvent};
-use super::stage::{Partitioner, Stage};
+use super::stage::{Partitioner, Pipeline, Stage};
 use crate::eig1::Eig1Options;
 use crate::igmatch::IgMatchOptions;
 use crate::igvote::IgVoteOptions;
@@ -362,6 +362,16 @@ impl Stage for RatioRefineStage {
             split_rank: prev.split_rank,
         })
     }
+}
+
+/// The workspace's hybrid flow, `"IG-Match+FM"`: IG-Match followed by at
+/// most `refine_passes` passes of ratio-objective FM refinement. The one
+/// constructor behind the CLI's `hybrid` algorithm, the k-way routes'
+/// bisections and the V-cycle's coarsest level.
+pub fn ig_match_fm_pipeline(ig_match: IgMatchOptions, refine_passes: usize) -> Pipeline {
+    Pipeline::named("IG-Match+FM")
+        .then(IgMatchStage::new(ig_match))
+        .then(RatioRefineStage::new(refine_passes, "IG-Match+FM"))
 }
 
 #[cfg(test)]

@@ -50,8 +50,8 @@ pub mod refine;
 pub use direct::{kway_direct_ctx, KwayDirectStage};
 pub use recursive::{kway_recursive_ctx, KwayRecursiveStage};
 
-use crate::engine::stages::{IgMatchStage, RatioRefineStage};
-use crate::engine::{Pipeline, RunContext, Stage, DEFAULT_SEED};
+use crate::engine::stages::ig_match_fm_pipeline;
+use crate::engine::{RunContext, Stage, DEFAULT_SEED};
 use crate::{IgMatchOptions, PartitionError};
 use np_netlist::areas::ModuleAreas;
 use np_netlist::{
@@ -147,6 +147,11 @@ pub trait KwayPartitioner {
         ctx: &RunContext<'_>,
     ) -> Result<KwayResult, PartitionError>;
 }
+
+/// A boxed k-way unit that can be shared across threads — the k-way
+/// counterpart of [`BoxedStage`](crate::engine::BoxedStage), and the
+/// storage type of a k-way `np-runner` portfolio.
+pub type BoxedKwayPartitioner = Box<dyn KwayPartitioner + Send + Sync>;
 
 /// Runs the chosen k-way route with no resource limits.
 ///
@@ -264,15 +269,6 @@ pub(crate) fn prepare(hg: &Hypergraph, opts: &KwayOptions) -> Result<Prepared, P
     })
 }
 
-/// The exact bipartition pipeline both routes delegate to at `k = 2`:
-/// IG-Match plus ratio-objective FM refinement, the same stage sequence
-/// as the workspace's hybrid flow.
-pub(crate) fn hybrid_pipeline(opts: &KwayOptions) -> Pipeline {
-    Pipeline::named("IG-Match+FM")
-        .then(IgMatchStage::new(opts.ig_match))
-        .then(RatioRefineStage::new(opts.max_refine_passes, "IG-Match+FM"))
-}
-
 /// The `k = 1` trivial partition: everything in block 0, nothing cut.
 pub(crate) fn trivial(hg: &Hypergraph, algorithm: &'static str) -> KwayResult {
     let partition = KwayPartition::with_num_blocks(vec![0u32; hg.num_modules()], 1);
@@ -290,7 +286,7 @@ pub(crate) fn bipartition_fast_path(
     ctx: &RunContext<'_>,
     algorithm: &'static str,
 ) -> Result<KwayResult, PartitionError> {
-    let res = hybrid_pipeline(opts).run(hg, None, ctx)?;
+    let res = ig_match_fm_pipeline(opts.ig_match, opts.max_refine_passes).run(hg, None, ctx)?;
     let partition = KwayPartition::from_bipartition(&res.partition);
     finalize(hg, partition, opts, prep, ctx, algorithm, false)
 }

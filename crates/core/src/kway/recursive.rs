@@ -21,9 +21,10 @@
 
 use super::refine::area_cap;
 use super::{
-    bipartition_fast_path, finalize, hybrid_pipeline, prepare, trivial, KwayOptions,
-    KwayPartitioner, KwayResult, Prepared,
+    bipartition_fast_path, finalize, prepare, trivial, KwayOptions, KwayPartitioner, KwayResult,
+    Prepared,
 };
+use crate::engine::stages::ig_match_fm_pipeline;
 use crate::engine::{RunContext, Stage};
 use crate::{PartitionError, PartitionResult};
 use np_netlist::areas::ModuleAreas;
@@ -111,15 +112,16 @@ fn split(
     // Run the bipartition pipeline — on the original hypergraph under the
     // caller's context at the top, on an induced sub-instance under a
     // derived context (fresh operator cache) deeper down.
+    let pipeline = ig_match_fm_pipeline(opts.ig_match, opts.max_refine_passes);
     let storage;
     let (local_hg, run_result): (&Hypergraph, Result<PartitionResult, PartitionError>) = if top {
-        (hg, hybrid_pipeline(opts).run(hg, None, ctx))
+        (hg, pipeline.run(hg, None, ctx))
     } else {
         storage = induced_subhypergraph(hg, modules);
         let child = RunContext::with_meter(ctx.meter())
             .with_seed(ctx.seed())
             .with_threads(ctx.threads());
-        let r = hybrid_pipeline(opts).run(&storage.hypergraph, None, &child);
+        let r = pipeline.run(&storage.hypergraph, None, &child);
         (&storage.hypergraph, r)
     };
     let local_part = match run_result {

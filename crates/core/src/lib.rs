@@ -74,7 +74,8 @@ pub use error::{panic_error, PartitionError};
 pub use igmatch::{ig_match, ig_match_ctx, IgMatchOptions, IgMatchOutcome};
 pub use igvote::{ig_vote, ig_vote_ctx, IgVoteOptions};
 pub use kway::{
-    kway_partition, kway_partition_ctx, KwayMethod, KwayOptions, KwayPartitioner, KwayResult,
+    kway_partition, kway_partition_ctx, BoxedKwayPartitioner, KwayMethod, KwayOptions,
+    KwayPartitioner, KwayResult,
 };
 pub use models::IgWeighting;
 pub use result::PartitionResult;

@@ -34,8 +34,8 @@
 
 use crate::coarsen::{coarsen_level, CoarsenConfig, Level};
 use np_baselines::rcut::refine_ratio_cut_metered;
-use np_core::engine::stages::{FmStage, IgMatchStage, RatioRefineStage};
-use np_core::engine::{FallbackChain, Pipeline, RunContext, StageEvent};
+use np_core::engine::stages::{ig_match_fm_pipeline, FmStage};
+use np_core::engine::{FallbackChain, RunContext, StageEvent};
 use np_core::kway::refine::{area_cap, enforce_balance, kway_refine};
 use np_core::{
     kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, KwayResult, PartitionError,
@@ -341,12 +341,7 @@ fn initial_partition(
         .with_fatal(|e| matches!(e, PartitionError::Budget(_)))
         .link(
             "hybrid",
-            Pipeline::named("IG-Match+FM")
-                .then(IgMatchStage::new(opts.ig_match))
-                .then(RatioRefineStage::new(
-                    opts.flat_refine_passes,
-                    "IG-Match+FM",
-                )),
+            ig_match_fm_pipeline(opts.ig_match, opts.flat_refine_passes),
         )
         .link("fm", FmStage::default());
     chain

@@ -6,8 +6,14 @@
 //! workspace (FM, KL, reseeded Lanczos) benefits from best-of-N the same
 //! way — yet a plain engine run executes one attempt on one thread. This
 //! crate runs a whole *portfolio* of attempts concurrently over a scoped
-//! worker pool and reduces them to the best
-//! [`PartitionResult`] by ratio cut.
+//! worker pool and reduces them to the best result by ratio cut.
+//!
+//! One runner serves both result types. A [`Portfolio`] is generic over
+//! its [`AttemptUnit`]: [`BoxedStage`]s race for a bipartition
+//! ([`PartitionResult`]), [`BoxedKwayPartitioner`]s race for a k-way
+//! partition ([`KwayResult`]; [`presets::kway_methods`] builds the
+//! standard recursive-vs-direct race). Every contract below holds for
+//! both, and both fill the same [`PortfolioReport`].
 //!
 //! # Determinism contract
 //!
@@ -72,22 +78,21 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod kway;
 pub mod presets;
 mod report;
 pub mod trace;
 
-pub use kway::{
-    run_kway_portfolio, KwayAttemptReport, KwayPortfolio, KwayPortfolioError, KwayPortfolioOutcome,
-};
-pub use report::{AttemptReport, AttemptStatus, PortfolioReport, REPORT_SCHEMA};
+pub use report::{json_string, AttemptReport, AttemptStatus, PortfolioReport, REPORT_SCHEMA};
 pub use trace::{record_attempt_spans, SpanFanIn};
 
 use np_baselines::{fm_bisect_metered, FmOptions};
 use np_core::engine::{
     run_stage, BoxedStage, EventSink, OperatorCache, RunContext, StageEvent, DEFAULT_SEED,
 };
-use np_core::{PartitionError, PartitionResult, Partitioner, Stage};
+use np_core::{
+    BoxedKwayPartitioner, KwayPartitioner, KwayResult, PartitionError, PartitionResult,
+    Partitioner, Stage,
+};
 use np_netlist::rng::derive_seed;
 use np_netlist::{Bipartition, Hypergraph, ModuleId};
 use np_sparse::{BudgetMeter, BudgetResource};
@@ -96,51 +101,169 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One labelled attempt of a [`Portfolio`].
-pub struct Attempt {
-    label: String,
-    stage: BoxedStage,
+/// The unit of work one portfolio attempt runs: a [`BoxedStage`]
+/// (bipartition) or a [`BoxedKwayPartitioner`] (k-way).
+pub trait AttemptUnit: Send + Sync {
+    /// What a completed attempt produces.
+    type Output: AttemptResult;
+
+    /// Display name of the unit.
+    fn name(&self) -> &'static str;
+
+    /// Runs the unit against the attempt's context.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the unit returns; the runner records it on the attempt.
+    fn run(&self, hg: &Hypergraph, ctx: &RunContext<'_>) -> Result<Self::Output, PartitionError>;
 }
 
-impl Attempt {
+impl AttemptUnit for BoxedStage {
+    type Output = PartitionResult;
+
+    fn name(&self) -> &'static str {
+        self.as_ref().name()
+    }
+
+    /// Runs through [`run_stage`], so an attached sink sees the stage's
+    /// `Started`/`Finished` events.
+    fn run(
+        &self,
+        hg: &Hypergraph,
+        ctx: &RunContext<'_>,
+    ) -> Result<PartitionResult, PartitionError> {
+        run_stage(self.as_ref(), hg, None, ctx)
+    }
+}
+
+impl AttemptUnit for BoxedKwayPartitioner {
+    type Output = KwayResult;
+
+    fn name(&self) -> &'static str {
+        self.as_ref().name()
+    }
+
+    fn run(&self, hg: &Hypergraph, ctx: &RunContext<'_>) -> Result<KwayResult, PartitionError> {
+        self.partition(hg, ctx)
+    }
+}
+
+/// What the runner reads off a completed attempt's result: the default
+/// reduction score and the [`AttemptReport`] fields.
+pub trait AttemptResult: Send {
+    /// Name of the algorithm that produced the result.
+    fn algorithm(&self) -> &'static str;
+    /// Ratio cut (the k-way ratio for a [`KwayResult`]); the default
+    /// reduction score.
+    fn ratio(&self) -> f64;
+    /// Number of cut nets.
+    fn cut_nets(&self) -> usize;
+}
+
+impl AttemptResult for PartitionResult {
+    fn algorithm(&self) -> &'static str {
+        self.algorithm
+    }
+
+    fn ratio(&self) -> f64 {
+        PartitionResult::ratio(self)
+    }
+
+    fn cut_nets(&self) -> usize {
+        self.stats.cut_nets
+    }
+}
+
+impl AttemptResult for KwayResult {
+    fn algorithm(&self) -> &'static str {
+        self.algorithm
+    }
+
+    fn ratio(&self) -> f64 {
+        self.stats.ratio()
+    }
+
+    fn cut_nets(&self) -> usize {
+        self.stats.cut_nets
+    }
+}
+
+/// Boxes a concrete stage or k-way partitioner into the unit type `U`
+/// of the [`Portfolio`] it joins (see [`Portfolio::attempt`]).
+pub trait IntoAttempt<U> {
+    /// The boxed unit.
+    fn into_attempt(self) -> U;
+}
+
+impl<S: Stage + Send + Sync + 'static> IntoAttempt<BoxedStage> for S {
+    fn into_attempt(self) -> BoxedStage {
+        Box::new(self)
+    }
+}
+
+impl<K: KwayPartitioner + Send + Sync + 'static> IntoAttempt<BoxedKwayPartitioner> for K {
+    fn into_attempt(self) -> BoxedKwayPartitioner {
+        Box::new(self)
+    }
+}
+
+/// One labelled attempt of a [`Portfolio`].
+pub struct Attempt<U = BoxedStage> {
+    label: String,
+    unit: U,
+}
+
+impl<U> Attempt<U> {
     /// The attempt's display label.
     pub fn label(&self) -> &str {
         &self.label
     }
 }
 
-impl fmt::Debug for Attempt {
+impl<U: AttemptUnit> fmt::Debug for Attempt<U> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Attempt")
             .field("label", &self.label)
-            .field("stage", &self.stage.name())
+            .field("unit", &self.unit.name())
             .finish()
     }
 }
 
 /// An ordered list of labelled attempts. Order matters: the attempt
 /// index determines both the seed stream and the reduction tie-break.
-#[derive(Debug, Default)]
-pub struct Portfolio {
-    attempts: Vec<Attempt>,
+pub struct Portfolio<U = BoxedStage> {
+    attempts: Vec<Attempt<U>>,
 }
 
-impl Portfolio {
+impl<U> Default for Portfolio<U> {
+    fn default() -> Self {
+        Portfolio {
+            attempts: Vec::new(),
+        }
+    }
+}
+
+impl<U: AttemptUnit> fmt::Debug for Portfolio<U> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Portfolio")
+            .field("attempts", &self.attempts)
+            .finish()
+    }
+}
+
+impl<U: AttemptUnit> Portfolio<U> {
     /// An empty portfolio.
     pub fn new() -> Self {
         Portfolio::default()
     }
 
-    /// Appends an attempt (builder style).
+    /// Appends an attempt (builder style): any [`Stage`] for a
+    /// bipartition portfolio, any [`KwayPartitioner`] for a k-way one.
     #[must_use]
-    pub fn attempt(
-        mut self,
-        label: impl Into<String>,
-        stage: impl Stage + Send + Sync + 'static,
-    ) -> Self {
+    pub fn attempt(mut self, label: impl Into<String>, unit: impl IntoAttempt<U>) -> Self {
         self.attempts.push(Attempt {
             label: label.into(),
-            stage: Box::new(stage),
+            unit: unit.into_attempt(),
         });
         self
     }
@@ -148,10 +271,10 @@ impl Portfolio {
     /// Appends an already-boxed attempt (builder style) — for callers
     /// assembling stages dynamically (the CLI, config files).
     #[must_use]
-    pub fn attempt_boxed(mut self, label: impl Into<String>, stage: BoxedStage) -> Self {
+    pub fn attempt_boxed(mut self, label: impl Into<String>, unit: U) -> Self {
         self.attempts.push(Attempt {
             label: label.into(),
-            stage,
+            unit,
         });
         self
     }
@@ -160,17 +283,14 @@ impl Portfolio {
     /// style). The factory receives the index of the restart *within
     /// this batch* (0-based); labels are `"{prefix}#{i}"`.
     #[must_use]
-    pub fn restarts(
+    pub fn restarts<T: IntoAttempt<U>>(
         mut self,
         prefix: &str,
         n: usize,
-        mut make: impl FnMut(usize) -> BoxedStage,
+        mut make: impl FnMut(usize) -> T,
     ) -> Self {
         for i in 0..n {
-            self.attempts.push(Attempt {
-                label: format!("{prefix}#{i}"),
-                stage: make(i),
-            });
+            self = self.attempt(format!("{prefix}#{i}"), make(i));
         }
         self
     }
@@ -186,7 +306,7 @@ impl Portfolio {
     }
 
     /// The attempts, in index order.
-    pub fn attempts(&self) -> &[Attempt] {
+    pub fn attempts(&self) -> &[Attempt<U>] {
         &self.attempts
     }
 }
@@ -283,12 +403,12 @@ impl EventSink for Forward<'_> {
     }
 }
 
-/// Successful portfolio outcome: the winning partition plus the full
+/// Successful portfolio outcome: the winning result plus the full
 /// per-attempt report.
 #[derive(Debug)]
-pub struct PortfolioOutcome {
-    /// The best partition over all completed attempts.
-    pub best: PartitionResult,
+pub struct PortfolioOutcome<R = PartitionResult> {
+    /// The best result over all completed attempts.
+    pub best: R,
     /// Index of the winning attempt.
     pub winner: usize,
     /// What happened to every attempt.
@@ -359,16 +479,16 @@ impl BestCell {
 }
 
 /// What one attempt produced, gathered by the worker that ran it.
-pub(crate) struct Slot {
+pub(crate) struct Slot<R> {
     pub(crate) status: AttemptStatus,
-    pub(crate) result: Option<PartitionResult>,
+    pub(crate) result: Option<R>,
     pub(crate) score: f64,
     pub(crate) error: Option<PartitionError>,
     pub(crate) wall: Duration,
     pub(crate) charge: u64,
 }
 
-impl Slot {
+impl<R> Slot<R> {
     fn skipped() -> Self {
         Slot {
             status: AttemptStatus::Skipped,
@@ -415,16 +535,14 @@ pub(crate) fn effective_threads(requested: usize, attempts: usize) -> usize {
 ///
 /// [`PortfolioError`] when no attempt completes (every attempt failed,
 /// was cancelled, or was skipped), or when the portfolio is empty.
-pub fn run_portfolio(
+pub fn run_portfolio<U: AttemptUnit>(
     hg: &Hypergraph,
-    portfolio: &Portfolio,
+    portfolio: &Portfolio<U>,
     opts: &PortfolioOptions,
     meter: &BudgetMeter,
     sink: Option<&dyn PortfolioSink>,
-) -> Result<PortfolioOutcome, PortfolioError> {
-    run_portfolio_scored(hg, portfolio, opts, meter, sink, &|r: &PartitionResult| {
-        r.ratio()
-    })
+) -> Result<PortfolioOutcome<U::Output>, PortfolioError> {
+    run_portfolio_scored(hg, portfolio, opts, meter, sink, &|r: &U::Output| r.ratio())
 }
 
 /// [`run_portfolio`] with a caller-supplied objective: each completed
@@ -437,14 +555,14 @@ pub fn run_portfolio(
 /// # Errors
 ///
 /// Same as [`run_portfolio`].
-pub fn run_portfolio_scored(
+pub fn run_portfolio_scored<U: AttemptUnit>(
     hg: &Hypergraph,
-    portfolio: &Portfolio,
+    portfolio: &Portfolio<U>,
     opts: &PortfolioOptions,
     meter: &BudgetMeter,
     sink: Option<&dyn PortfolioSink>,
-    score: &(dyn Fn(&PartitionResult) -> f64 + Sync),
-) -> Result<PortfolioOutcome, PortfolioError> {
+    score: &(dyn Fn(&U::Output) -> f64 + Sync),
+) -> Result<PortfolioOutcome<U::Output>, PortfolioError> {
     // One operator cache for the whole portfolio: the spectral Laplacians
     // depend only on the hypergraph, so the first attempt to need one
     // builds it and every other attempt reuses it instead of rebuilding
@@ -466,15 +584,15 @@ pub fn run_portfolio_scored(
 /// # Errors
 ///
 /// Same as [`run_portfolio`].
-pub fn run_portfolio_cached(
+pub fn run_portfolio_cached<U: AttemptUnit>(
     hg: &Hypergraph,
-    portfolio: &Portfolio,
+    portfolio: &Portfolio<U>,
     opts: &PortfolioOptions,
     meter: &BudgetMeter,
     sink: Option<&dyn PortfolioSink>,
-    score: &(dyn Fn(&PartitionResult) -> f64 + Sync),
+    score: &(dyn Fn(&U::Output) -> f64 + Sync),
     operators: &Arc<OperatorCache>,
-) -> Result<PortfolioOutcome, PortfolioError> {
+) -> Result<PortfolioOutcome<U::Output>, PortfolioError> {
     let started = Instant::now();
     let n = portfolio.len();
     if n == 0 {
@@ -495,7 +613,7 @@ pub fn run_portfolio_cached(
     let threads = effective_threads(opts.threads, n);
     let next = AtomicUsize::new(0);
     let best = BestCell::new();
-    let slots: Vec<Mutex<Option<Slot>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Slot<U::Output>>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -519,7 +637,7 @@ pub fn run_portfolio_cached(
         }
     });
 
-    let mut records: Vec<Slot> = slots
+    let mut records: Vec<Slot<U::Output>> = slots
         .into_iter()
         .map(|m| {
             m.into_inner()
@@ -571,17 +689,17 @@ pub fn run_portfolio_cached(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_attempt(
+fn run_attempt<U: AttemptUnit>(
     hg: &Hypergraph,
-    attempt: &Attempt,
+    attempt: &Attempt<U>,
     idx: usize,
     opts: &PortfolioOptions,
     meter: &BudgetMeter,
     sink: Option<&dyn PortfolioSink>,
-    score: &(dyn Fn(&PartitionResult) -> f64 + Sync),
+    score: &(dyn Fn(&U::Output) -> f64 + Sync),
     best: &BestCell,
     operators: &Arc<OperatorCache>,
-) -> Slot {
+) -> Slot<U::Output> {
     let tributary = meter.tributary();
     let forward = sink.map(|sink| Forward {
         sink,
@@ -603,12 +721,11 @@ fn run_attempt(
     // scoped pool and abort the whole portfolio (and its caller — in a
     // server, the process). `AssertUnwindSafe` is justified because a
     // panicked attempt's partial state is confined to the attempt: the
-    // stage is an immutable options struct, and the shared meter /
+    // unit is an immutable options struct, and the shared meter /
     // best-cell are atomics that stay consistent under abandonment.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_stage(attempt.stage.as_ref(), hg, None, &ctx)
-    }))
-    .unwrap_or_else(|payload| Err(np_core::panic_error(payload)));
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt.unit.run(hg, &ctx)))
+            .unwrap_or_else(|payload| Err(np_core::panic_error(payload)));
     let wall = t0.elapsed();
     let charge = tributary.local_used();
     match outcome {
@@ -727,7 +844,7 @@ mod tests {
     fn empty_portfolio_rejected() {
         let err = run_portfolio(
             &two_triangles(),
-            &Portfolio::new(),
+            &Portfolio::<BoxedStage>::new(),
             &PortfolioOptions::default(),
             &BudgetMeter::unlimited(),
             None,
@@ -781,9 +898,7 @@ mod tests {
         // instance) explore different random starts; both must be
         // reported and the reduction must pick the better one
         let hg = two_triangles();
-        let portfolio = Portfolio::new().restarts("FM", 4, |_| {
-            Box::new(RandomStartFmStage::default()) as BoxedStage
-        });
+        let portfolio = Portfolio::new().restarts("FM", 4, |_| RandomStartFmStage::default());
         let out = run_portfolio(
             &hg,
             &portfolio,
@@ -991,5 +1106,104 @@ mod tests {
         assert_eq!(effective_threads(8, 3), 3, "clamped to attempt count");
         assert_eq!(effective_threads(2, 100), 2);
         assert_eq!(effective_threads(0, 0), 1);
+    }
+
+    /// The same runner over k-way units.
+    mod kway {
+        use super::*;
+        use crate::presets::kway_methods;
+        use np_core::kway::{KwayDirectStage, KwayRecursiveStage};
+        use np_core::KwayOptions;
+        use np_netlist::generate::{generate, GeneratorConfig};
+
+        fn circuit() -> Hypergraph {
+            generate(&GeneratorConfig::new(140, 150, 0xCAFE))
+        }
+
+        fn kopts(k: usize) -> KwayOptions {
+            KwayOptions {
+                k,
+                epsilon: 0.5,
+                ..Default::default()
+            }
+        }
+
+        #[test]
+        fn empty_portfolio_rejected() {
+            let err = run_portfolio(
+                &circuit(),
+                &Portfolio::<BoxedKwayPartitioner>::new(),
+                &PortfolioOptions::default(),
+                &BudgetMeter::unlimited(),
+                None,
+            )
+            .unwrap_err();
+            assert!(matches!(err.error, PartitionError::InvalidInput { .. }));
+            assert!(err.to_string().contains("portfolio failed"));
+        }
+
+        #[test]
+        fn method_race_produces_valid_blocks() {
+            let hg = circuit();
+            let portfolio = kway_methods(&kopts(4), 2);
+            assert_eq!(portfolio.len(), 3);
+            let out = run_portfolio(
+                &hg,
+                &portfolio,
+                &PortfolioOptions::default().with_threads(2),
+                &BudgetMeter::unlimited(),
+                None,
+            )
+            .unwrap();
+            assert_eq!(out.best.partition.num_blocks(), 4);
+            assert_eq!(out.report.attempts.len(), 3);
+            let best = out.report.attempts[out.winner].ratio.unwrap();
+            for a in &out.report.attempts {
+                if let Some(r) = a.ratio {
+                    assert!(best <= r + 1e-12, "winner must be the minimum");
+                }
+            }
+        }
+
+        #[test]
+        fn winner_is_thread_invariant() {
+            let hg = circuit();
+            let portfolio = kway_methods(&kopts(3), 3);
+            let mut winners = Vec::new();
+            for threads in [1, 2, 4] {
+                let out = run_portfolio(
+                    &hg,
+                    &portfolio,
+                    &PortfolioOptions::default().with_threads(threads),
+                    &BudgetMeter::unlimited(),
+                    None,
+                )
+                .unwrap();
+                winners.push((out.winner, out.best.partition.clone()));
+            }
+            assert_eq!(winners[0], winners[1]);
+            assert_eq!(winners[1], winners[2]);
+        }
+
+        #[test]
+        fn failed_attempts_are_reported_not_fatal() {
+            let hg = circuit();
+            // k larger than the module count fails validation in every
+            // attempt except the sane one
+            let portfolio = Portfolio::new()
+                .attempt("bad", KwayDirectStage::new(kopts(10_000)))
+                .attempt("good", KwayRecursiveStage::new(kopts(3)));
+            let out = run_portfolio(
+                &hg,
+                &portfolio,
+                &PortfolioOptions::default().with_threads(1),
+                &BudgetMeter::unlimited(),
+                None,
+            )
+            .unwrap();
+            assert_eq!(out.winner, 1);
+            assert!(out.report.attempts[0].error.is_some());
+            assert!(out.report.attempts[1].ratio.is_some());
+        }
     }
 }

@@ -11,10 +11,15 @@
 //! Note the seed streams differ from the internal loops' (which draw all
 //! starts from one sequential PRNG), so cut values match the internal
 //! loops statistically, not bit-for-bit.
+//!
+//! [`kway_methods`] is the k-way counterpart: the recursive-vs-direct
+//! method race as a `Portfolio<BoxedKwayPartitioner>`.
 
 use crate::{Portfolio, RandomStartFmStage};
 use np_baselines::{FmOptions, KlOptions, RcutOptions};
 use np_core::engine::stages::{KlStage, RcutStage};
+use np_core::kway::{KwayDirectStage, KwayRecursiveStage};
+use np_core::{BoxedKwayPartitioner, KwayOptions};
 use np_multilevel::{MultilevelOptions, MultilevelStage};
 use np_netlist::rng::derive_seed;
 
@@ -22,14 +27,12 @@ use np_netlist::rng::derive_seed;
 /// attempt `i` seeded by `derive_seed(seed, i)`.
 pub fn rcut_restarts(n: usize, seed: u64, base: &RcutOptions) -> Portfolio {
     let base = *base;
-    Portfolio::new().restarts("RCut", n, |i| {
-        Box::new(RcutStage {
-            opts: RcutOptions {
-                runs: 1,
-                seed: derive_seed(seed, i as u64),
-                ..base
-            },
-        })
+    Portfolio::new().restarts("RCut", n, |i| RcutStage {
+        opts: RcutOptions {
+            runs: 1,
+            seed: derive_seed(seed, i as u64),
+            ..base
+        },
     })
 }
 
@@ -37,14 +40,12 @@ pub fn rcut_restarts(n: usize, seed: u64, base: &RcutOptions) -> Portfolio {
 /// with attempt `i` seeded by `derive_seed(seed, i)`.
 pub fn kl_restarts(n: usize, seed: u64, base: &KlOptions) -> Portfolio {
     let base = *base;
-    Portfolio::new().restarts("KL", n, |i| {
-        Box::new(KlStage {
-            opts: KlOptions {
-                runs: 1,
-                seed: derive_seed(seed, i as u64),
-                ..base
-            },
-        })
+    Portfolio::new().restarts("KL", n, |i| KlStage {
+        opts: KlOptions {
+            runs: 1,
+            seed: derive_seed(seed, i as u64),
+            ..base
+        },
     })
 }
 
@@ -58,7 +59,7 @@ pub fn multilevel_restarts(n: usize, seed: u64, base: &MultilevelOptions) -> Por
     Portfolio::new().restarts("V-cycle", n, |i| {
         let mut opts = base;
         opts.ig_match.lanczos.seed = derive_seed(seed, i as u64);
-        Box::new(MultilevelStage::new(opts))
+        MultilevelStage::new(opts)
     })
 }
 
@@ -68,7 +69,22 @@ pub fn multilevel_restarts(n: usize, seed: u64, base: &MultilevelOptions) -> Por
 /// portfolio needs no explicit seed here.
 pub fn fm_restarts(n: usize, opts: &FmOptions) -> Portfolio {
     let opts = *opts;
-    Portfolio::new().restarts("FM", n, |_| Box::new(RandomStartFmStage { opts }))
+    Portfolio::new().restarts("FM", n, |_| RandomStartFmStage { opts })
+}
+
+/// The standard k-way method race: one recursive-bisection attempt
+/// (`"recursive"`) plus `direct_restarts` direct spectral attempts
+/// (`"direct#i"`), direct attempt `i` seeded by `derive_seed(opts.seed,
+/// i)`.
+pub fn kway_methods(opts: &KwayOptions, direct_restarts: usize) -> Portfolio<BoxedKwayPartitioner> {
+    Portfolio::new()
+        .attempt("recursive", KwayRecursiveStage::new(opts.clone()))
+        .restarts("direct", direct_restarts, |i| {
+            KwayDirectStage::new(KwayOptions {
+                seed: derive_seed(opts.seed, i as u64),
+                ..opts.clone()
+            })
+        })
 }
 
 #[cfg(test)]

@@ -3,8 +3,12 @@
 //! The JSON writer is hand-rolled (this workspace carries no external
 //! dependencies): the schema is flat, every string passes through
 //! [`json_string`], and non-finite floats serialize as `null`.
+//!
+//! Bipartition and k-way portfolios fill the same report: the result
+//! fields (`algorithm`, `ratio`, `cut_nets`) come from
+//! [`AttemptResult`], whatever the result type.
 
-use crate::{PortfolioOptions, Slot};
+use crate::{AttemptResult, PortfolioOptions, Slot};
 use std::fmt;
 use std::time::Duration;
 
@@ -167,14 +171,18 @@ impl PortfolioReport {
 }
 
 /// Builds the attempt record out of a finished worker slot.
-pub(crate) fn of_slot(index: usize, label: &str, slot: &Slot) -> AttemptReport {
+pub(crate) fn of_slot<R: AttemptResult>(
+    index: usize,
+    label: &str,
+    slot: &Slot<R>,
+) -> AttemptReport {
     AttemptReport {
         index,
         label: label.to_string(),
         status: slot.status,
-        algorithm: slot.result.as_ref().map(|r| r.algorithm.to_string()),
+        algorithm: slot.result.as_ref().map(|r| r.algorithm().to_string()),
         ratio: slot.result.as_ref().map(|r| r.ratio()),
-        cut_nets: slot.result.as_ref().map(|r| r.stats.cut_nets),
+        cut_nets: slot.result.as_ref().map(|r| r.cut_nets()),
         score: slot.result.as_ref().map(|_| slot.score),
         error: slot.error.as_ref().map(|e| e.to_string()),
         wall: slot.wall,
@@ -207,9 +215,11 @@ pub(crate) fn assemble(
     }
 }
 
-/// JSON string literal with minimal escaping (quotes, backslashes,
-/// control characters).
-fn json_string(s: &str) -> String {
+/// Renders `s` as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control characters — the one string escaper
+/// behind every hand-rolled JSON writer in the workspace (this report,
+/// `np-serve` frames, `BENCH_*.json` records).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -6,16 +6,20 @@
 //!   charge) are bit-identical for `threads ∈ {1, 2, 8}` on random
 //!   netlists, because attempt seeds derive from the attempt *index*
 //!   (not the worker) and the reduction orders by `(score, index)`.
+//! * **k-way parity**: the k-way method race run through the same
+//!   runner reproduces recorded winners and partitions at every thread
+//!   count.
 //! * **Cancellation**: once the shared deadline passes, in-flight
 //!   attempts stop at their next budget check and the whole portfolio
 //!   returns promptly with every attempt's fate recorded.
 
 use np_baselines::{FmOptions, RcutOptions};
 use np_core::engine::stages::{IgMatchStage, RcutStage};
-use np_core::{PartitionError, PartitionResult, Partitioner, RunContext};
+use np_core::{KwayOptions, PartitionError, PartitionResult, Partitioner, RunContext};
+use np_netlist::generate::{generate, GeneratorConfig};
 use np_netlist::rng::derive_seed;
 use np_netlist::{Hypergraph, Side};
-use np_runner::presets::fm_restarts;
+use np_runner::presets::{fm_restarts, kway_methods};
 use np_runner::{
     run_portfolio, AttemptStatus, Portfolio, PortfolioOptions, PortfolioOutcome, RandomStartFmStage,
 };
@@ -88,6 +92,88 @@ fn winner_is_identical_for_1_2_and_8_threads() {
         assert_eq!(prints[0], prints[1], "threads=1 vs threads=2");
         assert_eq!(prints[0], prints[2], "threads=1 vs threads=8");
     });
+}
+
+/// FNV-1a over the block labels: a compact fingerprint of a k-way
+/// partition for the recorded values below.
+fn label_hash(labels: &[u32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in labels.iter().flat_map(|l| l.to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn kway_method_race_reproduces_the_recorded_winners() {
+    // Winner index, label hash and k-way ratio bits of the standard
+    // method race (recursive + 2 direct attempts, ε = 0.5, default
+    // seed), recorded with the dedicated k-way runner this generic
+    // runner replaced. Both winner kinds are covered: the recursive
+    // attempt (index 0) and a direct attempt tied with its sibling,
+    // where the smaller index must win.
+    let cases: [(usize, usize, u64, usize, usize, u64, u64); 4] = [
+        (
+            140,
+            150,
+            0xCAFE,
+            3,
+            1,
+            0xa9b7_63f2_6a89_0515,
+            0x3ffc_b94b_94b9_4b94,
+        ),
+        (
+            140,
+            150,
+            0xCAFE,
+            4,
+            1,
+            0xb135_3f99_527c_43f6,
+            0x400a_3d7f_bc9a_9702,
+        ),
+        (
+            260,
+            280,
+            0x5EED,
+            3,
+            0,
+            0x7a00_ac59_d26c_72c5,
+            0x3fef_2276_2762_7628,
+        ),
+        (
+            260,
+            280,
+            0x5EED,
+            4,
+            0,
+            0xcd11_5a97_51e7_0826,
+            0x4006_5060_df8d_bd3e,
+        ),
+    ];
+    for (modules, nets, seed, k, winner, hash, ratio) in cases {
+        let hg = generate(&GeneratorConfig::new(modules, nets, seed));
+        let opts = KwayOptions {
+            k,
+            epsilon: 0.5,
+            ..Default::default()
+        };
+        let portfolio = kway_methods(&opts, 2);
+        for threads in [1usize, 2, 4] {
+            let out = run_portfolio(
+                &hg,
+                &portfolio,
+                &PortfolioOptions::default().with_threads(threads),
+                &BudgetMeter::unlimited(),
+                None,
+            )
+            .unwrap();
+            let case = format!("{modules}x{nets}@{seed:#x} k={k} threads={threads}");
+            assert_eq!(out.winner, winner, "{case}");
+            assert_eq!(label_hash(out.best.partition.labels()), hash, "{case}");
+            assert_eq!(out.best.stats.ratio().to_bits(), ratio, "{case}");
+        }
+    }
 }
 
 #[test]

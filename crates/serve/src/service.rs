@@ -10,10 +10,12 @@
 //!                   │                                   └▶ RESULT degraded
 //!                 permit
 //!                   │
-//!              insurance FM  (tiny slice: there is *always* a best-so-far)
-//!                   │
 //!        V-cycle tier (opt-in, or large netlists on the default algo)
 //!                   │         └──ok──▶ RESULT (tier "multilevel", levels)
+//!                   │
+//!           k > 2: method race ──▶ RESULT (tier "kway-race") or ERROR
+//!                   │
+//!              insurance FM  (tiny slice: there is *always* a best-so-far)
 //!                   │
 //!              main portfolio ──ok──▶ RESULT (degraded iff deadline fired)
 //!                   │
@@ -52,15 +54,17 @@ use np_core::engine::trace::{SpanKind, SpanRing};
 use np_core::engine::RunContext;
 use np_core::engine::{BoxedStage, StageEvent, DEFAULT_SEED};
 use np_core::{
-    Eig1Options, IgMatchOptions, IgVoteOptions, KwayOptions, PartitionError, PartitionResult,
+    Eig1Options, IgMatchOptions, IgVoteOptions, KwayOptions, KwayResult, PartitionError,
+    PartitionResult,
 };
 use np_multilevel::{multilevel_ctx, multilevel_kway_ctx, MultilevelOptions};
 use np_netlist::rng::derive_seed;
 use np_netlist::Side;
+use np_runner::presets::kway_methods;
 use np_runner::trace::{record_attempt_spans, SpanFanIn};
 use np_runner::{
-    run_kway_portfolio, run_portfolio_cached, KwayPortfolio, Portfolio, PortfolioEvent,
-    PortfolioOptions, RandomStartFmStage,
+    run_portfolio_cached, AttemptResult, AttemptStatus, AttemptUnit, Portfolio, PortfolioError,
+    PortfolioEvent, PortfolioOptions, PortfolioOutcome, RandomStartFmStage,
 };
 use np_sparse::{Budget, BudgetMeter, BudgetResource};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,10 +141,56 @@ pub struct Service {
     seq: AtomicU64,
 }
 
-/// Everything known about the best answer so far, carried across tiers.
+/// Everything known about the best answer so far, carried across the
+/// bipartition ladder's tiers.
 struct Candidate {
     result: PartitionResult,
     tier: &'static str,
+}
+
+impl Candidate {
+    /// The ladder's terminal answer: this candidate plus the retry count.
+    fn answered(self, degradation: Option<Degradation>, retries: u64) -> Answered {
+        Answered {
+            answer: Answer::Sides(self.result),
+            tier: self.tier,
+            degradation,
+            vcycle: None,
+            retries: Some(retries),
+        }
+    }
+}
+
+/// One admitted request's execution state, shared by every tier.
+struct Job<'a> {
+    request: &'a Request,
+    /// The request's span tag (see [`Service::trace_frame`]).
+    seq: u64,
+    cached: &'a CachedNetlist,
+    deadline: Option<Instant>,
+    queue_wait: Duration,
+    cache_hit: bool,
+    compute_start: Instant,
+    emit: &'a (dyn Fn(&str) + Sync),
+}
+
+/// The partition a result frame carries.
+enum Answer {
+    /// A bipartition (`k` absent or 2).
+    Sides(PartitionResult),
+    /// A k-way partition (`k > 2`).
+    Blocks(KwayResult),
+}
+
+/// Everything a terminal `result` frame reports (see [`result_frame`]).
+struct Answered {
+    answer: Answer,
+    tier: &'static str,
+    degradation: Option<Degradation>,
+    /// `(levels, coarsest_modules)` of a V-cycle answer.
+    vcycle: Option<(usize, usize)>,
+    /// Main-tier retries; the bipartition ladder reports them.
+    retries: Option<u64>,
 }
 
 impl Service {
@@ -438,38 +488,28 @@ impl Service {
             Ok(c) => c,
             Err(reason) => return proto::error_frame(&request.id, &reason),
         };
-        let cache_hit = self.cache.stats().hits > cache_stats_before.hits;
+        let job = Job {
+            request,
+            seq,
+            cached: &cached,
+            deadline,
+            queue_wait,
+            cache_hit: self.cache.stats().hits > cache_stats_before.hits,
+            compute_start: Instant::now(),
+            emit,
+        };
         let seed = request.seed.unwrap_or(DEFAULT_SEED);
         let restarts = request.restarts.unwrap_or(self.cfg.default_restarts);
-        let compute_start = Instant::now();
         let mut retries_done = 0u64;
-
-        // ---- k > 2: the k-way portfolio route (its own tiers do not
-        // apply — the recursive attempt is already the insurance) ----
-        if let Some(k) = request.k.filter(|&k| k > 2) {
-            return self.execute_kway(
-                request,
-                k,
-                &cached,
-                deadline,
-                queue_wait,
-                compute_start,
-                cache_hit,
-            );
-        }
+        // k > 2 takes the k-way tiers; k = 2 keeps the bipartition ladder
+        let k = request.k.filter(|&k| k > 2);
 
         // ---- expired while queued: only the insurance slice runs ----
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+        if k.is_none() && deadline.is_some_and(|d| Instant::now() >= d) {
             return match self.insurance(&cached, seed) {
-                Some(best) => self.result_frame(
-                    request,
-                    &best,
-                    Some(Degradation::ExpiredInQueue),
-                    queue_wait,
-                    compute_start.elapsed(),
-                    retries_done,
-                    cache_hit,
-                ),
+                Some(best) => {
+                    result_frame(&job, best.answered(Some(Degradation::ExpiredInQueue), 0))
+                }
                 None => proto::error_frame(
                     &request.id,
                     "deadline expired while queued and the insurance tier found no partition",
@@ -480,18 +520,17 @@ impl Service {
         // ---- the V-cycle tier: explicit `multilevel:true`, or a large
         // netlist on the default algorithm (opt out with
         // `multilevel:false`). A declined or failed V-cycle falls
-        // through to the ordinary tier ladder below. ----
+        // through to the request's ordinary tiers below. ----
         if self.wants_multilevel(request, &cached) {
-            if let Some(frame) = self.try_multilevel(
-                request,
-                &cached,
-                deadline,
-                queue_wait,
-                compute_start,
-                cache_hit,
-            ) {
+            if let Some(frame) = self.try_multilevel(&job, k) {
                 return frame;
             }
+        }
+
+        // ---- k > 2: the k-way method race (its own attempts are the
+        // fallback diversity, so the ladder below does not apply) ----
+        if let Some(k) = k {
+            return self.kway_race(&job, k);
         }
 
         // ---- tier 0: insurance. After this there is always a
@@ -503,84 +542,32 @@ impl Service {
         let mut deadline_fired = false;
         let mut drop_to_fm = false;
         for retry in 0..=self.cfg.retries {
-            let Some(wall) = self.remaining_wall(request, deadline, compute_start) else {
+            let Some(wall) = self.remaining_wall(&job) else {
                 deadline_fired = deadline.is_some();
                 break;
             };
             let attempt_seed = derive_seed(seed, retry as u64);
-            let portfolio = match self.build_portfolio(request, restarts, attempt_seed) {
-                Ok(p) => p,
-                Err(reason) => return proto::error_frame(&request.id, &reason),
-            };
+            let portfolio = self.build_portfolio(request, restarts, attempt_seed);
             let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
             let opts = PortfolioOptions {
                 threads: 1,
                 seed: attempt_seed,
                 target_ratio: request.target_ratio,
             };
-            let portfolio_started = Instant::now();
-            let outcome = {
-                let id = request.id.as_str();
-                let progress = request.progress;
-                let sink = move |e: &PortfolioEvent<'_>| {
-                    if !progress {
-                        return;
-                    }
-                    let (stage, detail) = match e.event {
-                        StageEvent::Started { stage } => (*stage, "started".to_string()),
-                        StageEvent::Finished { stage, outcome } => (
-                            *stage,
-                            match outcome {
-                                Ok(r) => format!("finished: ratio {:.3e}", r.ratio()),
-                                Err(err) => format!("failed: {err}"),
-                            },
-                        ),
-                        StageEvent::Detail { stage, message } => (*stage, message.to_string()),
-                    };
-                    emit(&proto::progress_frame(
-                        id, e.attempt, e.label, stage, &detail,
-                    ));
-                };
-                let fan_in = SpanFanIn::new(&self.spans, seq).forwarding(&sink);
-                run_portfolio_cached(
-                    &cached.hypergraph,
-                    &portfolio,
-                    &opts,
-                    &meter,
-                    Some(&fan_in),
-                    &|r: &PartitionResult| r.ratio(),
-                    &cached.operators,
-                )
-            };
-            match outcome {
+            match self.run_tier(&job, &portfolio, &opts, &meter) {
                 Ok(out) => {
-                    record_attempt_spans(&self.spans, seq, &out.report, portfolio_started);
-                    for a in &out.report.attempts {
-                        if matches!(a.status, np_runner::AttemptStatus::Panicked) {
-                            self.metrics.bump(&self.metrics.panics_contained);
-                        }
-                    }
                     let incomplete = out.report.attempts.iter().any(|a| {
-                        !matches!(
-                            a.status,
-                            np_runner::AttemptStatus::Won | np_runner::AttemptStatus::Completed
-                        )
+                        !matches!(a.status, AttemptStatus::Won | AttemptStatus::Completed)
                     });
                     offer(&mut best, out.best, "portfolio");
                     // deadline (not the client's compute budget) binding
                     // and attempts left unfinished ⇒ best-so-far answer
-                    if incomplete && self.deadline_was_binding(request, deadline, compute_start) {
+                    if incomplete && self.deadline_was_binding(&job) {
                         deadline_fired = true;
                     }
-                    return self.result_frame(
-                        request,
-                        best.as_ref().expect("offer filled best"),
-                        deadline_fired.then_some(Degradation::DeadlineBestSoFar),
-                        queue_wait,
-                        compute_start.elapsed(),
-                        retries_done,
-                        cache_hit,
-                    );
+                    let best = best.expect("offer filled best");
+                    let degradation = deadline_fired.then_some(Degradation::DeadlineBestSoFar);
+                    return result_frame(&job, best.answered(degradation, retries_done));
                 }
                 Err(err) => {
                     let error = err.error;
@@ -592,8 +579,7 @@ impl Service {
                                 BudgetResource::WallClock | BudgetResource::Cancelled
                             ) =>
                         {
-                            deadline_fired =
-                                self.deadline_was_binding(request, deadline, compute_start);
+                            deadline_fired = self.deadline_was_binding(&job);
                             last_error = Some(error);
                             break;
                         }
@@ -601,9 +587,6 @@ impl Service {
                         PartitionError::Eigen(_)
                         | PartitionError::Panicked { .. }
                         | PartitionError::Budget(_) => {
-                            if matches!(error, PartitionError::Panicked { .. }) {
-                                self.metrics.bump(&self.metrics.panics_contained);
-                            }
                             last_error = Some(error);
                             if retry == self.cfg.retries {
                                 drop_to_fm = true;
@@ -615,12 +598,6 @@ impl Service {
                         }
                         // permanent: the instance itself is unpartitionable
                         // by the spectral tier; FM may still manage
-                        PartitionError::TooSmall { .. }
-                        | PartitionError::Degenerate
-                        | PartitionError::InvalidInput { .. } => {
-                            last_error = Some(error);
-                            drop_to_fm = true;
-                        }
                         _ => {
                             last_error = Some(error);
                             drop_to_fm = true;
@@ -635,15 +612,10 @@ impl Service {
 
         // ---- tier 2: FM-restarts-only (spectral tier gave up) ----
         if drop_to_fm && !matches!(request.algo, Algo::Fm) {
-            if let Some(wall) = self.remaining_wall(request, deadline, compute_start) {
+            if let Some(wall) = self.remaining_wall(&job) {
                 self.metrics.bump(&self.metrics.fm_fallbacks);
-                let mut portfolio = Portfolio::new();
-                for i in 0..restarts {
-                    portfolio = portfolio.attempt_boxed(
-                        format!("fm-fallback#{i}"),
-                        Box::new(RandomStartFmStage::default()),
-                    );
-                }
+                let portfolio = Portfolio::new()
+                    .restarts("fm-fallback", restarts, |_| RandomStartFmStage::default());
                 let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
                 let opts = PortfolioOptions {
                     threads: 1,
@@ -660,36 +632,24 @@ impl Service {
                     &cached.operators,
                 ) {
                     offer(&mut best, out.best, "fm-fallback");
-                    return self.result_frame(
-                        request,
-                        best.as_ref().expect("offer filled best"),
-                        Some(Degradation::FmFallback),
-                        queue_wait,
-                        compute_start.elapsed(),
-                        retries_done,
-                        cache_hit,
+                    let best = best.expect("offer filled best");
+                    return result_frame(
+                        &job,
+                        best.answered(Some(Degradation::FmFallback), retries_done),
                     );
                 }
             }
         }
 
         // ---- nothing more will complete: best-so-far or error ----
-        match &best {
+        match best {
             Some(candidate) => {
                 let reason = if deadline_fired {
                     Degradation::DeadlineBestSoFar
                 } else {
                     Degradation::FmFallback
                 };
-                self.result_frame(
-                    request,
-                    candidate,
-                    Some(reason),
-                    queue_wait,
-                    compute_start.elapsed(),
-                    retries_done,
-                    cache_hit,
-                )
+                result_frame(&job, candidate.answered(Some(reason), retries_done))
             }
             None => {
                 let reason = last_error
@@ -700,84 +660,96 @@ impl Service {
         }
     }
 
-    /// Runs a `k > 2` request through the k-way method race (recursive
-    /// bisection + seed-jittered direct spectral attempts) and renders
-    /// its terminal frame. The race already contains its own fallback
-    /// diversity, so the bipartition tier ladder does not apply; the
-    /// deadline and budget still bound the shared meter.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_kway(
-        &self,
-        request: &Request,
-        k: usize,
-        cached: &CachedNetlist,
-        deadline: Option<Instant>,
-        queue_wait: Duration,
-        compute_start: Instant,
-        cache_hit: bool,
-    ) -> String {
-        if self.wants_multilevel(request, cached) {
-            if let Some(frame) = self.try_multilevel_kway(
-                request,
-                k,
-                cached,
-                deadline,
-                queue_wait,
-                compute_start,
-                cache_hit,
-            ) {
-                return frame;
-            }
-        }
-        let Some(wall) = self.remaining_wall(request, deadline, compute_start) else {
+    /// Runs a `k > 2` request through the k-way method race: one
+    /// recursive-bisection attempt plus `restarts − 1` seed-jittered
+    /// direct spectral attempts, on the same traced runner as the
+    /// bipartition ladder. The deadline and budget bound the shared
+    /// meter.
+    fn kway_race(&self, job: &Job<'_>, k: usize) -> String {
+        let Some(wall) = self.remaining_wall(job) else {
             return proto::error_frame(
-                &request.id,
+                &job.request.id,
                 "deadline expired before the k-way portfolio could start",
             );
         };
-        let seed = request.seed.unwrap_or(DEFAULT_SEED);
-        let restarts = request.restarts.unwrap_or(self.cfg.default_restarts);
-        let mut opts = KwayOptions {
-            k,
-            seed,
-            ..Default::default()
-        };
-        if let Some(eps) = request.epsilon {
-            opts.epsilon = eps;
-        }
-        let portfolio = KwayPortfolio::methods(&opts, restarts.saturating_sub(1));
+        let opts = kway_options(job.request, k);
+        let restarts = job.request.restarts.unwrap_or(self.cfg.default_restarts);
+        let portfolio = kway_methods(&opts, restarts.saturating_sub(1));
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let popts = PortfolioOptions {
             threads: 1,
-            seed,
-            target_ratio: request.target_ratio,
+            seed: opts.seed,
+            target_ratio: job.request.target_ratio,
         };
-        match run_kway_portfolio(&cached.hypergraph, &portfolio, &popts, &meter) {
-            Ok(out) => {
-                let blocks: Vec<String> = out
-                    .best
-                    .partition
-                    .labels()
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect();
-                Obj::new()
-                    .str("id", &request.id)
-                    .str("frame", "result")
-                    .bool("degraded", false)
-                    .str("tier", "kway-race")
-                    .str("algorithm", out.best.algorithm)
-                    .int("k", k as u64)
-                    .int("cut", out.best.stats.cut_nets as u64)
-                    .num("ratio", out.best.stats.ratio())
-                    .raw("blocks", format!("[{}]", blocks.join(",")))
-                    .bool("cache_hit", cache_hit)
-                    .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
-                    .num("compute_ms", compute_start.elapsed().as_secs_f64() * 1e3)
-                    .render()
-            }
-            Err(err) => proto::error_frame(&request.id, &format!("request failed: {err}")),
+        match self.run_tier(job, &portfolio, &popts, &meter) {
+            Ok(out) => result_frame(
+                job,
+                Answered {
+                    answer: Answer::Blocks(out.best),
+                    tier: "kway-race",
+                    degradation: None,
+                    vcycle: None,
+                    retries: None,
+                },
+            ),
+            Err(err) => proto::error_frame(&job.request.id, &format!("request failed: {err}")),
         }
+    }
+
+    /// Runs one traced portfolio tier over the request's cached netlist.
+    /// Every attempt shares the netlist's operator cache; stage events
+    /// become stage spans (and progress frames, when the request asked
+    /// for them); the report's attempts become attempt spans, and each
+    /// panicked attempt counts as a contained panic.
+    fn run_tier<U: AttemptUnit>(
+        &self,
+        job: &Job<'_>,
+        portfolio: &Portfolio<U>,
+        opts: &PortfolioOptions,
+        meter: &BudgetMeter,
+    ) -> Result<PortfolioOutcome<U::Output>, PortfolioError> {
+        let started = Instant::now();
+        let (id, progress, emit) = (job.request.id.as_str(), job.request.progress, job.emit);
+        let sink = move |e: &PortfolioEvent<'_>| {
+            if !progress {
+                return;
+            }
+            let (stage, detail) = match e.event {
+                StageEvent::Started { stage } => (*stage, "started".to_string()),
+                StageEvent::Finished { stage, outcome } => (
+                    *stage,
+                    match outcome {
+                        Ok(r) => format!("finished: ratio {:.3e}", r.ratio()),
+                        Err(err) => format!("failed: {err}"),
+                    },
+                ),
+                StageEvent::Detail { stage, message } => (*stage, message.to_string()),
+            };
+            emit(&proto::progress_frame(
+                id, e.attempt, e.label, stage, &detail,
+            ));
+        };
+        let fan_in = SpanFanIn::new(&self.spans, job.seq).forwarding(&sink);
+        let outcome = run_portfolio_cached(
+            &job.cached.hypergraph,
+            portfolio,
+            opts,
+            meter,
+            Some(&fan_in),
+            &|r: &U::Output| r.ratio(),
+            &job.cached.operators,
+        );
+        let report = match &outcome {
+            Ok(out) => &out.report,
+            Err(err) => &err.report,
+        };
+        record_attempt_spans(&self.spans, job.seq, report, started);
+        for a in &report.attempts {
+            if a.status == AttemptStatus::Panicked {
+                self.metrics.bump(&self.metrics.panics_contained);
+            }
+        }
+        outcome
     }
 
     /// Whether this request routes through the multilevel V-cycle tier:
@@ -791,122 +763,54 @@ impl Service {
         })
     }
 
-    /// The multilevel V-cycle tier for bipartition requests.
+    /// The multilevel V-cycle tier: a bipartition (`k = None`, tier
+    /// `"multilevel"`) or a k-way partition (tier `"multilevel-kway"`).
     /// `Some(frame)` is terminal; `None` means no wall remained or the
-    /// V-cycle failed, and the ordinary ladder should run instead.
-    fn try_multilevel(
-        &self,
-        request: &Request,
-        cached: &CachedNetlist,
-        deadline: Option<Instant>,
-        queue_wait: Duration,
-        compute_start: Instant,
-        cache_hit: bool,
-    ) -> Option<String> {
-        let wall = self.remaining_wall(request, deadline, compute_start)?;
+    /// V-cycle failed, and the request's ordinary tiers should run
+    /// instead.
+    fn try_multilevel(&self, job: &Job<'_>, k: Option<usize>) -> Option<String> {
+        let wall = self.remaining_wall(job)?;
         let mut opts = MultilevelOptions::default();
-        opts.ig_match.lanczos.seed = request.seed.unwrap_or(DEFAULT_SEED);
-        let budget = Budget::default().with_wall_clock(wall);
-        let meter = BudgetMeter::new(&budget);
+        opts.ig_match.lanczos.seed = job.request.seed.unwrap_or(DEFAULT_SEED);
+        let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = RunContext::with_meter(&meter);
-        let out = multilevel_ctx(&cached.hypergraph, &opts, &ctx).ok()?;
-        self.metrics.bump(&self.metrics.multilevel);
-        let result = &out.result;
-        let partition: String = result
-            .partition
-            .sides()
-            .iter()
-            .map(|s| if *s == Side::Left { '0' } else { '1' })
-            .collect();
-        let degradation = out
-            .budget_degraded
-            .then_some(Degradation::ProjectionFallback);
-        let mut obj = Obj::new()
-            .str("id", &request.id)
-            .str("frame", "result")
-            .bool("degraded", degradation.is_some());
-        if let Some(reason) = degradation {
-            obj = obj.str("reason", reason.name());
-        }
-        Some(
-            obj.str("tier", "multilevel")
-                .str("algorithm", result.algorithm)
-                .int("levels", out.levels as u64)
-                .int("coarsest_modules", out.coarsest_modules as u64)
-                .int("cut", result.stats.cut_nets as u64)
-                .int("left", result.stats.left as u64)
-                .int("right", result.stats.right as u64)
-                .num("ratio", result.ratio())
-                .str("partition", &partition)
-                .bool("cache_hit", cache_hit)
-                .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
-                .num("compute_ms", compute_start.elapsed().as_secs_f64() * 1e3)
-                .render(),
-        )
-    }
-
-    /// The multilevel V-cycle tier for `k > 2` requests; same contract
-    /// as [`try_multilevel`](Self::try_multilevel) but the frame carries
-    /// the k-way `blocks` array.
-    #[allow(clippy::too_many_arguments)]
-    fn try_multilevel_kway(
-        &self,
-        request: &Request,
-        k: usize,
-        cached: &CachedNetlist,
-        deadline: Option<Instant>,
-        queue_wait: Duration,
-        compute_start: Instant,
-        cache_hit: bool,
-    ) -> Option<String> {
-        let wall = self.remaining_wall(request, deadline, compute_start)?;
-        let seed = request.seed.unwrap_or(DEFAULT_SEED);
-        let mut kopts = KwayOptions {
-            k,
-            seed,
-            ..Default::default()
+        let hg = &job.cached.hypergraph;
+        let (answer, tier, levels, coarsest, degraded) = match k {
+            None => {
+                let out = multilevel_ctx(hg, &opts, &ctx).ok()?;
+                let answer = Answer::Sides(out.result);
+                (
+                    answer,
+                    "multilevel",
+                    out.levels,
+                    out.coarsest_modules,
+                    out.budget_degraded,
+                )
+            }
+            Some(k) => {
+                let kopts = kway_options(job.request, k);
+                let out = multilevel_kway_ctx(hg, &kopts, &opts, &ctx).ok()?;
+                let answer = Answer::Blocks(out.result);
+                (
+                    answer,
+                    "multilevel-kway",
+                    out.levels,
+                    out.coarsest_modules,
+                    out.budget_degraded,
+                )
+            }
         };
-        if let Some(eps) = request.epsilon {
-            kopts.epsilon = eps;
-        }
-        let mut mopts = MultilevelOptions::default();
-        mopts.ig_match.lanczos.seed = seed;
-        let budget = Budget::default().with_wall_clock(wall);
-        let meter = BudgetMeter::new(&budget);
-        let ctx = RunContext::with_meter(&meter);
-        let out = multilevel_kway_ctx(&cached.hypergraph, &kopts, &mopts, &ctx).ok()?;
         self.metrics.bump(&self.metrics.multilevel);
-        let blocks: Vec<String> = out
-            .result
-            .partition
-            .labels()
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        let degradation = out
-            .budget_degraded
-            .then_some(Degradation::ProjectionFallback);
-        let mut obj = Obj::new()
-            .str("id", &request.id)
-            .str("frame", "result")
-            .bool("degraded", degradation.is_some());
-        if let Some(reason) = degradation {
-            obj = obj.str("reason", reason.name());
-        }
-        Some(
-            obj.str("tier", "multilevel-kway")
-                .str("algorithm", out.result.algorithm)
-                .int("k", k as u64)
-                .int("levels", out.levels as u64)
-                .int("coarsest_modules", out.coarsest_modules as u64)
-                .int("cut", out.result.stats.cut_nets as u64)
-                .num("ratio", out.result.stats.ratio())
-                .raw("blocks", format!("[{}]", blocks.join(",")))
-                .bool("cache_hit", cache_hit)
-                .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
-                .num("compute_ms", compute_start.elapsed().as_secs_f64() * 1e3)
-                .render(),
-        )
+        Some(result_frame(
+            job,
+            Answered {
+                answer,
+                tier,
+                degradation: degraded.then_some(Degradation::ProjectionFallback),
+                vcycle: Some((levels, coarsest)),
+                retries: None,
+            },
+        ))
     }
 
     /// Tier 0: a one-attempt FM portfolio under a tiny private budget.
@@ -918,8 +822,7 @@ impl Service {
             .with_wall_clock(self.cfg.insurance_wall.min(self.cfg.max_wall))
             .with_matvecs(self.cfg.insurance_matvecs);
         let meter = BudgetMeter::new(&budget);
-        let portfolio =
-            Portfolio::new().attempt_boxed("insurance", Box::new(RandomStartFmStage::default()));
+        let portfolio = Portfolio::new().attempt("insurance", RandomStartFmStage::default());
         let opts = PortfolioOptions {
             threads: 1,
             seed: derive_seed(seed, 0x1A5E_CE00),
@@ -944,19 +847,14 @@ impl Service {
     /// Wall-clock room left for main-tier work:
     /// `min(budget_ms, deadline − now, max_wall)`, or `None` when no
     /// time remains.
-    fn remaining_wall(
-        &self,
-        request: &Request,
-        deadline: Option<Instant>,
-        compute_start: Instant,
-    ) -> Option<Duration> {
+    fn remaining_wall(&self, job: &Job<'_>) -> Option<Duration> {
         let mut wall = self.cfg.max_wall;
-        if let Some(ms) = request.budget_ms {
+        if let Some(ms) = job.request.budget_ms {
             let budget = Duration::from_millis(ms);
-            let spent = compute_start.elapsed();
+            let spent = job.compute_start.elapsed();
             wall = wall.min(budget.checked_sub(spent)?);
         }
-        if let Some(d) = deadline {
+        if let Some(d) = job.deadline {
             wall = wall.min(d.checked_duration_since(Instant::now())?);
         }
         (wall > Duration::ZERO).then_some(wall)
@@ -964,21 +862,17 @@ impl Service {
 
     /// Whether the *deadline* (rather than the client's compute budget or
     /// the server cap) is the limit that has run out.
-    fn deadline_was_binding(
-        &self,
-        request: &Request,
-        deadline: Option<Instant>,
-        compute_start: Instant,
-    ) -> bool {
-        let Some(d) = deadline else { return false };
+    fn deadline_was_binding(&self, job: &Job<'_>) -> bool {
+        let Some(d) = job.deadline else { return false };
         if Instant::now() >= d {
             return true;
         }
         // the deadline is binding if it expires before the budget would
         let deadline_left = d.saturating_duration_since(Instant::now());
-        let budget_left = request
+        let budget_left = job
+            .request
             .budget_ms
-            .map(|ms| Duration::from_millis(ms).saturating_sub(compute_start.elapsed()))
+            .map(|ms| Duration::from_millis(ms).saturating_sub(job.compute_start.elapsed()))
             .unwrap_or(self.cfg.max_wall);
         deadline_left < budget_left
     }
@@ -1004,12 +898,7 @@ impl Service {
     /// Builds the main-tier portfolio: `restarts` attempts of the
     /// requested algorithm, each on a decorrelated seed stream, with the
     /// request's fault decorator applied when the feature is on.
-    fn build_portfolio(
-        &self,
-        request: &Request,
-        restarts: usize,
-        seed: u64,
-    ) -> Result<Portfolio, String> {
+    fn build_portfolio(&self, request: &Request, restarts: usize, seed: u64) -> Portfolio {
         let mut portfolio = Portfolio::new();
         for i in 0..restarts {
             let stream = derive_seed(seed, i as u64);
@@ -1017,7 +906,7 @@ impl Service {
             let stage = self.decorate(request, i, stage);
             portfolio = portfolio.attempt_boxed(format!("{}#{i}", request.algo.name()), stage);
         }
-        Ok(portfolio)
+        portfolio
     }
 
     /// Applies the request's fault to the attempt stage (fault-inject
@@ -1038,46 +927,74 @@ impl Service {
     fn decorate(&self, _request: &Request, _attempt: usize, stage: BoxedStage) -> BoxedStage {
         stage
     }
+}
 
-    /// Renders the terminal `result` frame.
-    #[allow(clippy::too_many_arguments)]
-    fn result_frame(
-        &self,
-        request: &Request,
-        candidate: &Candidate,
-        degradation: Option<Degradation>,
-        queue_wait: Duration,
-        compute: Duration,
-        retries: u64,
-        cache_hit: bool,
-    ) -> String {
-        let result = &candidate.result;
-        let partition: String = result
-            .partition
-            .sides()
-            .iter()
-            .map(|s| if *s == Side::Left { '0' } else { '1' })
-            .collect();
-        let mut obj = Obj::new()
-            .str("id", &request.id)
-            .str("frame", "result")
-            .bool("degraded", degradation.is_some());
-        if let Some(reason) = degradation {
-            obj = obj.str("reason", reason.name());
-        }
-        obj.str("tier", candidate.tier)
-            .str("algorithm", result.algorithm)
-            .int("cut", result.stats.cut_nets as u64)
-            .int("left", result.stats.left as u64)
-            .int("right", result.stats.right as u64)
-            .num("ratio", result.ratio())
-            .str("partition", &partition)
-            .int("retries", retries)
-            .bool("cache_hit", cache_hit)
-            .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
-            .num("compute_ms", compute.as_secs_f64() * 1e3)
-            .render()
+/// Renders the terminal `result` frame — the one renderer behind every
+/// tier. Keys come in a fixed order; the answer decides which optional
+/// ones appear:
+///
+/// `id, frame, degraded, [reason], tier, algorithm, [k], [levels,
+/// coarsest_modules], cut, [left, right], ratio, partition | blocks,
+/// [retries], cache_hit, queue_ms, compute_ms`
+///
+/// A bipartition carries `left`/`right` and a `partition` digit string
+/// (one side digit per module); a k-way partition carries `k` and a
+/// `blocks` array (one block label per module).
+fn result_frame(job: &Job<'_>, answered: Answered) -> String {
+    let mut obj = Obj::new()
+        .str("id", &job.request.id)
+        .str("frame", "result")
+        .bool("degraded", answered.degradation.is_some());
+    if let Some(reason) = answered.degradation {
+        obj = obj.str("reason", reason.name());
     }
+    let result: &dyn AttemptResult = match &answered.answer {
+        Answer::Sides(r) => r,
+        Answer::Blocks(r) => r,
+    };
+    obj = obj
+        .str("tier", answered.tier)
+        .str("algorithm", result.algorithm());
+    if let Answer::Blocks(r) = &answered.answer {
+        obj = obj.int("k", r.partition.num_blocks() as u64);
+    }
+    if let Some((levels, coarsest)) = answered.vcycle {
+        obj = obj
+            .int("levels", levels as u64)
+            .int("coarsest_modules", coarsest as u64);
+    }
+    obj = obj.int("cut", result.cut_nets() as u64);
+    if let Answer::Sides(r) = &answered.answer {
+        obj = obj
+            .int("left", r.stats.left as u64)
+            .int("right", r.stats.right as u64);
+    }
+    obj = obj.num("ratio", result.ratio());
+    obj = match &answered.answer {
+        Answer::Sides(r) => {
+            let digits: String = r
+                .partition
+                .sides()
+                .iter()
+                .map(|s| if *s == Side::Left { '0' } else { '1' })
+                .collect();
+            obj.str("partition", &digits)
+        }
+        Answer::Blocks(r) => {
+            let labels: Vec<String> = r.partition.labels().iter().map(u32::to_string).collect();
+            obj.raw("blocks", format!("[{}]", labels.join(",")))
+        }
+    };
+    if let Some(retries) = answered.retries {
+        obj = obj.int("retries", retries);
+    }
+    obj.bool("cache_hit", job.cache_hit)
+        .num("queue_ms", job.queue_wait.as_secs_f64() * 1e3)
+        .num(
+            "compute_ms",
+            job.compute_start.elapsed().as_secs_f64() * 1e3,
+        )
+        .render()
 }
 
 /// Keeps the better (lower-ratio) of the held candidate and the offered
@@ -1090,6 +1007,20 @@ fn offer(best: &mut Option<Candidate>, result: PartitionResult, tier: &'static s
     if better {
         *best = Some(Candidate { result, tier });
     }
+}
+
+/// The request's k-way options: `k`, the request seed, and `epsilon`
+/// when given.
+fn kway_options(request: &Request, k: usize) -> KwayOptions {
+    let mut opts = KwayOptions {
+        k,
+        seed: request.seed.unwrap_or(DEFAULT_SEED),
+        ..Default::default()
+    };
+    if let Some(eps) = request.epsilon {
+        opts.epsilon = eps;
+    }
+    opts
 }
 
 /// One portfolio attempt of `algo` with every internal seed moved onto
@@ -1273,6 +1204,35 @@ mod tests {
         }
         assert!(doc.get("partition").is_none(), "k-way frames carry blocks");
         assert_eq!(svc.metrics().results.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn kway_requests_record_attempt_spans() {
+        let svc = Service::new(ServeConfig::default());
+        collect(&svc, &request_line("k3", r#","k":3,"restarts":2"#));
+        let trace = collect(&svc, "/trace");
+        let doc = crate::json::parse(&trace[0]).unwrap();
+        let spans = match doc.get("spans") {
+            Some(crate::json::Value::Array(items)) => items.clone(),
+            other => panic!("expected a spans array, got {other:?}"),
+        };
+        let field = |span: &crate::json::Value, key: &str| {
+            span.get(key)
+                .and_then(|v| v.as_str().map(String::from))
+                .unwrap_or_default()
+        };
+        let seq = spans
+            .iter()
+            .find(|s| field(s, "kind") == "request" && field(s, "label") == "k3")
+            .and_then(|s| s.get("request").and_then(|v| v.as_u64()))
+            .expect("the k:3 request span");
+        let attempts: Vec<String> = spans
+            .iter()
+            .filter(|s| field(s, "kind") == "attempt")
+            .filter(|s| s.get("request").and_then(|v| v.as_u64()) == Some(seq))
+            .map(|s| field(s, "label"))
+            .collect();
+        assert_eq!(attempts, ["recursive", "direct#0"], "{spans:?}");
     }
 
     #[test]

@@ -35,6 +35,13 @@
 //! both over the portfolio pool; `--output` then writes one block id per
 //! module line.
 //!
+//! With `--k`, `race` or any portfolio flag runs the k-way attempts on
+//! the portfolio runner below, where `--threads`, `--seed`,
+//! `--target-ratio`, `--report-json` and `--trace` all apply and
+//! `--restarts N` counts direct attempts (`direct`: N, default 1;
+//! `race`: recursive plus N, default 2; `recursive` is one attempt).
+//! `--multilevel --k` runs one k-way V-cycle and takes no portfolio flag.
+//!
 //! Every algorithm is an engine [`Stage`](ig_match_repro::Stage) assembled from the CLI flags
 //! and run against one shared [`RunContext`], so `--budget-ms` (a
 //! wall-clock cap on the whole run) applies uniformly and `--trace`
@@ -78,9 +85,10 @@ use ig_match_repro::netlist::io::read_hgr;
 use ig_match_repro::netlist::rng::derive_seed;
 use ig_match_repro::netlist::stats::{CutBySize, NetlistSummary};
 use ig_match_repro::netlist::{FixedModules, KwayPartition};
+use ig_match_repro::runner::presets::kway_methods;
 use ig_match_repro::runner::{
-    run_kway_portfolio, run_portfolio, KwayPortfolio, Portfolio, PortfolioEvent, PortfolioOptions,
-    RandomStartFmStage,
+    run_portfolio, AttemptStatus, AttemptUnit, Portfolio, PortfolioEvent, PortfolioOptions,
+    PortfolioOutcome, RandomStartFmStage,
 };
 use ig_match_repro::sparse::{Budget, BudgetMeter};
 use ig_match_repro::{
@@ -434,8 +442,6 @@ fn run_portfolio_mode(
     hg: &ig_match_repro::Hypergraph,
     meter: &BudgetMeter,
 ) -> Result<(String, Bipartition), String> {
-    use ig_match_repro::runner::AttemptStatus;
-
     let restarts = args.restarts.unwrap_or(1);
     let family = if args.multilevel {
         "multilevel"
@@ -446,66 +452,63 @@ fn run_portfolio_mode(
     for i in 0..restarts {
         portfolio = portfolio.attempt_boxed(format!("{family}#{i}"), attempt_stage_for(args, i)?);
     }
+    let out = run_cli_portfolio(args, hg, &portfolio, meter)?;
+    Ok((
+        format!("best-of-{restarts}[{}]", out.best.algorithm),
+        out.best.partition,
+    ))
+}
+
+/// Runs a bipartition or k-way portfolio the way every portfolio flag
+/// describes: `--threads`/`--seed`/`--target-ratio` set the runner
+/// options, `--trace` streams each attempt's stage events (tagged
+/// `[attempt:label]`) to stderr, `--report-json` writes the per-attempt
+/// record, and a one-line summary names the winner.
+fn run_cli_portfolio<U: AttemptUnit>(
+    args: &Args,
+    hg: &ig_match_repro::Hypergraph,
+    portfolio: &Portfolio<U>,
+    meter: &BudgetMeter,
+) -> Result<PortfolioOutcome<U::Output>, String> {
     let opts = PortfolioOptions {
         threads: args.threads.unwrap_or(0),
         seed: args.seed,
         target_ratio: args.target_ratio,
     };
-    let trace = args.trace;
-    // same policy as the single-run sink, with an `[attempt:label]` tag
-    // so interleaved streams from concurrent attempts stay attributable
-    let sink = move |e: &PortfolioEvent<'_>| match e.event {
-        StageEvent::Detail { stage, message } => {
-            eprintln!("[{}:{}] {stage}: {message}", e.attempt, e.label)
-        }
-        StageEvent::Started { stage } if trace => {
-            eprintln!("[{}:{}] -> {stage}", e.attempt, e.label)
-        }
-        StageEvent::Finished { stage, outcome } if trace => match outcome {
-            Ok(r) => eprintln!(
-                "[{}:{}] <- {stage}: ratio {:.3e}",
-                e.attempt,
-                e.label,
-                r.ratio()
-            ),
-            Err(err) => eprintln!("[{}:{}] <- {stage}: failed: {err}", e.attempt, e.label),
-        },
-        _ => {}
+    // the single-run policy, with an `[attempt:label]` tag so interleaved
+    // streams from concurrent attempts stay attributable
+    let sink = |e: &PortfolioEvent<'_>| {
+        print_event(
+            &format!("[{}:{}] ", e.attempt, e.label),
+            e.event,
+            args.trace,
+        )
     };
-    let outcome = run_portfolio(hg, &portfolio, &opts, meter, Some(&sink));
-    {
-        let report = match &outcome {
-            Ok(o) => &o.report,
-            Err(e) => &e.report,
-        };
-        if let Some(path) = &args.report_json {
-            std::fs::write(path, report.to_json())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("portfolio report written to {path}");
-        }
+    let outcome = run_portfolio(hg, portfolio, &opts, meter, Some(&sink));
+    let report = match &outcome {
+        Ok(o) => &o.report,
+        Err(e) => &e.report,
+    };
+    if let Some(path) = &args.report_json {
+        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("portfolio report written to {path}");
     }
-    match outcome {
-        Ok(out) => {
-            let completed = out
-                .report
-                .attempts
-                .iter()
-                .filter(|a| matches!(a.status, AttemptStatus::Won | AttemptStatus::Completed))
-                .count();
-            eprintln!(
-                "portfolio: attempt {} ('{}') wins, {completed}/{restarts} completed, {} thread(s), {:.1} ms",
-                out.winner,
-                out.report.attempts[out.winner].label,
-                out.report.threads,
-                out.report.wall.as_secs_f64() * 1e3
-            );
-            Ok((
-                format!("best-of-{restarts}[{}]", out.best.algorithm),
-                out.best.partition,
-            ))
-        }
-        Err(err) => Err(err.to_string()),
-    }
+    let out = outcome.map_err(|err| err.to_string())?;
+    let completed = out
+        .report
+        .attempts
+        .iter()
+        .filter(|a| matches!(a.status, AttemptStatus::Won | AttemptStatus::Completed))
+        .count();
+    eprintln!(
+        "portfolio: attempt {} ('{}') wins, {completed}/{} completed, {} thread(s), {:.1} ms",
+        out.winner,
+        out.report.attempts[out.winner].label,
+        portfolio.len(),
+        out.report.threads,
+        out.report.wall.as_secs_f64() * 1e3
+    );
+    Ok(out)
 }
 
 /// Builds the [`KwayOptions`] the CLI flags describe, loading the
@@ -568,31 +571,16 @@ fn run_kway_mode(
         (out.result.algorithm.to_string(), out.result)
     } else if args.kway_method == "race" || args.portfolio_mode() {
         let portfolio = match args.kway_method.as_str() {
-            "race" => KwayPortfolio::methods(&opts, args.restarts.unwrap_or(2)),
-            "direct" => {
-                let mut p = KwayPortfolio::new();
-                for i in 0..args.restarts.unwrap_or(1) {
-                    let mut o = opts.clone();
-                    o.seed = derive_seed(args.seed, i as u64);
-                    p = p.attempt(format!("direct#{i}"), KwayDirectStage::new(o));
-                }
-                p
-            }
-            _ => KwayPortfolio::new().attempt("recursive", KwayRecursiveStage::new(opts.clone())),
+            "race" => kway_methods(&opts, args.restarts.unwrap_or(2)),
+            "direct" => Portfolio::new().restarts("direct", args.restarts.unwrap_or(1), |i| {
+                KwayDirectStage::new(KwayOptions {
+                    seed: derive_seed(args.seed, i as u64),
+                    ..opts.clone()
+                })
+            }),
+            _ => Portfolio::new().attempt("recursive", KwayRecursiveStage::new(opts.clone())),
         };
-        let popts = PortfolioOptions {
-            threads: args.threads.unwrap_or(0),
-            seed: args.seed,
-            target_ratio: None,
-        };
-        let out = run_kway_portfolio(hg, &portfolio, &popts, meter).map_err(|e| e.to_string())?;
-        for a in &out.attempts {
-            match (&a.ratio, &a.error) {
-                (Some(r), _) => eprintln!("  {}: kratio {r:.3e}", a.label),
-                (None, Some(e)) => eprintln!("  {}: failed: {e}", a.label),
-                (None, None) => eprintln!("  {}: skipped", a.label),
-            }
-        }
+        let out = run_cli_portfolio(args, hg, &portfolio, meter)?;
         (format!("kway-race[{}]", out.best.algorithm), out.best)
     } else {
         let method = if args.kway_method == "direct" {
@@ -612,6 +600,21 @@ fn run_kway_mode(
         eprintln!("partition written to {path}");
     }
     Ok(())
+}
+
+/// Prints one stage event to stderr behind `tag`: details (e.g.
+/// IG-Match's matching bound) always, the per-stage start/finish stream
+/// only with `--trace`.
+fn print_event(tag: &str, event: &StageEvent<'_>, trace: bool) {
+    match event {
+        StageEvent::Detail { stage, message } => eprintln!("{tag}{stage}: {message}"),
+        StageEvent::Started { stage } if trace => eprintln!("{tag}-> {stage}"),
+        StageEvent::Finished { stage, outcome } if trace => match outcome {
+            Ok(r) => eprintln!("{tag}<- {stage}: ratio {:.3e}", r.ratio()),
+            Err(e) => eprintln!("{tag}<- {stage}: failed: {e}"),
+        },
+        _ => {}
+    }
 }
 
 fn write_kway_partition(path: &str, partition: &KwayPartition) -> Result<(), String> {
@@ -634,18 +637,7 @@ fn run() -> Result<(), String> {
     if args.kway_mode() {
         return run_kway_mode(&args, &hg, &meter);
     }
-    let trace = args.trace;
-    // details (e.g. IG-Match's matching bound) always go to stderr; the
-    // per-stage start/finish stream only with --trace
-    let sink = move |e: &StageEvent<'_>| match e {
-        StageEvent::Detail { stage, message } => eprintln!("{stage}: {message}"),
-        StageEvent::Started { stage } if trace => eprintln!("-> {stage}"),
-        StageEvent::Finished { stage, outcome } if trace => match outcome {
-            Ok(r) => eprintln!("<- {stage}: ratio {:.3e}", r.ratio()),
-            Err(e) => eprintln!("<- {stage}: failed: {e}"),
-        },
-        _ => {}
-    };
+    let sink = |e: &StageEvent<'_>| print_event("", e, args.trace);
     let ctx = RunContext::with_meter(&meter)
         .with_seed(args.seed)
         .with_threads(args.threads.unwrap_or(1))

@@ -2,7 +2,7 @@
 //! post-improvement — the §5 suggestion that "the ratio cuts so obtained
 //! may optionally be improved by using standard iterative techniques".
 
-use np_core::engine::stages::{IgMatchStage, RatioRefineStage};
+use np_core::engine::stages::ig_match_fm_pipeline;
 use np_core::engine::{Pipeline, RunContext, Stage};
 use np_core::{IgMatchOptions, PartitionError, PartitionResult};
 use np_netlist::Hypergraph;
@@ -92,9 +92,7 @@ pub fn ig_match_refined_ctx(
 /// the pipeline with further stages or embed it in a
 /// [`FallbackChain`](np_core::engine::FallbackChain).
 pub fn hybrid_pipeline(opts: &HybridOptions) -> Pipeline {
-    Pipeline::named("IG-Match+FM")
-        .then(IgMatchStage::new(opts.ig_match))
-        .then(RatioRefineStage::new(opts.max_refine_passes, "IG-Match+FM"))
+    ig_match_fm_pipeline(opts.ig_match, opts.max_refine_passes)
 }
 
 #[cfg(test)]

@@ -13,6 +13,9 @@
 //! * **oracle agreement** — the reported cut and per-block external
 //!   counts equal the brute-force recount in `np_testkit`, which shares
 //!   no code with the incremental trackers.
+//!
+//! A last test drives `np-part --k` in portfolio mode and checks that
+//! `--report-json` records every k-way attempt.
 
 use ig_match_repro::core::engine::stages::{IgMatchStage, RatioRefineStage};
 use ig_match_repro::core::engine::{Pipeline, RunContext, Stage};
@@ -20,6 +23,7 @@ use ig_match_repro::core::kway::{kway_partition, KwayMethod, KwayOptions};
 use ig_match_repro::core::{IgMatchOptions, PartitionError};
 use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
 use ig_match_repro::netlist::{balance_bound, KwayPartition};
+use ig_match_repro::runner::REPORT_SCHEMA;
 use ig_match_repro::{Budget, BudgetMeter};
 use np_testkit::{
     check_cases, kway_reference_cut, kway_reference_externals, pinned_instance, small_hypergraph,
@@ -203,4 +207,42 @@ fn empty_label_vector_yields_zero_blocks() {
     let p = KwayPartition::from_labels(Vec::new());
     assert_eq!(p.num_blocks(), 0);
     assert_eq!(p.len(), 0);
+}
+
+#[test]
+fn np_part_kway_portfolio_writes_the_report() {
+    // `--k` portfolios run on the same runner as bipartition ones, so
+    // `--report-json` records every attempt: the recursive route is one
+    // attempt, the method race adds one per direct restart
+    let bin = env!("CARGO_BIN_EXE_np-part");
+    let dir = std::env::temp_dir();
+    let input = dir.join("np_part_kway_report.hgr");
+    let hg = generate(&GeneratorConfig::new(120, 130, 0x4E7));
+    std::fs::write(&input, ig_match_repro::netlist::io::to_hgr_string(&hg)).unwrap();
+    for (method, attempts) in [("recursive", 1usize), ("race", 3)] {
+        let report = dir.join(format!("np_part_kway_report_{method}.json"));
+        std::fs::remove_file(&report).ok();
+        let out = std::process::Command::new(bin)
+            .arg(&input)
+            .args(["--k", "4", "--restarts", "2", "--kway-method", method])
+            .arg("--report-json")
+            .arg(&report)
+            .output()
+            .expect("binary should run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{method}: {stderr}");
+        let json = std::fs::read_to_string(&report)
+            .unwrap_or_else(|e| panic!("{method}: no report written ({e}); stderr: {stderr}"));
+        assert!(
+            json.contains(&format!("\"schema\": \"{REPORT_SCHEMA}\"")),
+            "{method}: {json}"
+        );
+        assert_eq!(
+            json.matches("\"index\": ").count(),
+            attempts,
+            "{method}: {json}"
+        );
+        std::fs::remove_file(&report).ok();
+    }
+    std::fs::remove_file(&input).ok();
 }
