@@ -12,10 +12,13 @@
 //!
 //! The winner/loser classification is maintained incrementally as well:
 //! every move reports a [`MoveDelta`], and [`NetClassifier::refresh`]
-//! re-runs the alternating BFS only inside the `B`-components touched by
-//! that delta (see `DESIGN.md` §11 for the soundness argument). The
-//! from-scratch [`SplitMatcher::classify_into`] is kept unchanged as the
-//! oracle the incremental path is cross-checked against in debug builds.
+//! repairs two alternating-reachability forests — one grown from the
+//! unmatched `L` nets, one from the unmatched `R` nets — around the nets
+//! that delta names, cutting and re-growing only the subtrees whose
+//! parent links broke (see `DESIGN.md` §11 for the soundness argument).
+//! The from-scratch [`SplitMatcher::classify_into`] is kept unchanged as
+//! the oracle the incremental path is cross-checked against in debug
+//! builds.
 
 use np_netlist::Side;
 
@@ -185,7 +188,7 @@ pub struct NetClassChange {
 
 /// What one [`SplitMatcher::move_to_r`] changed: the moved net plus the
 /// vertices whose matching partner changed (the detach and any augmenting
-/// paths). [`NetClassifier::refresh`] keys its dirty region off this.
+/// paths). [`NetClassifier::refresh`] repairs its forests around these.
 #[derive(Clone, Debug, Default)]
 pub struct MoveDelta {
     /// The net that moved from `L` to `R`.
@@ -559,20 +562,218 @@ impl SplitMatcher {
     }
 }
 
-/// Incrementally-maintained winner/loser classification of every net,
-/// updated in `O(Δ)` per split instead of re-running the full
-/// alternating BFS (paper Figure 3) from scratch.
+/// Parent sentinel of an [`AltForest`]: the net is not in the forest.
+const OUT: u32 = u32::MAX;
+/// Parent sentinel of an [`AltForest`]: the net is a root (an unmatched
+/// net on the forest's root side). Never a net index, since
+/// [`SplitMatcher::new`] keeps every index below `u32::MAX - 1`.
+const ROOT: u32 = u32::MAX - 1;
+
+/// One alternating-reachability forest of `B`: every net reachable by an
+/// alternating path from an unmatched net on the root side, each holding
+/// one parent pointer that witnesses its path.
 ///
-/// The key structural fact (`DESIGN.md` §11): a vertex's class depends
-/// only on its connected component of `B` (alternating paths are in
-/// particular `B`-paths, and every BFS seed — an unmatched vertex — that
-/// can reach a component lies inside it). One `move_to_r(v)` changes only
-/// edges incident to `v` and mates inside the components of `v` and its
-/// ex-partner, so re-running the classification inside the current
-/// components of `{v} ∪ N(v)` — and nowhere else — reproduces the
-/// from-scratch result exactly. When the moved net is isolated
-/// ([`MoveDelta::structural`] is `false`), the refresh is an `O(1)`
-/// relabel of the moved net alone.
+/// Root-side members are the *even* nets (`Even(L)` for the forest grown
+/// from `L`): a root, or the mate of their parent. Other-side members are
+/// the *odd* nets (`Odd(L)`), whose parent is a crossing-edge neighbor.
+/// The forest's arcs are therefore `even → crossing neighbor` and
+/// `odd → mate`, and every arc one move changes has its head in
+/// `{moved} ∪ N(moved) ∪ mates_changed`.
+#[derive(Clone, Debug)]
+struct AltForest {
+    /// `true` for the forest grown from the unmatched `R` nets.
+    root_right: bool,
+    /// Parent of every net: [`ROOT`], [`OUT`], or the net's predecessor
+    /// on its alternating path. Invariant after every refresh: an even
+    /// member's parent is its current mate (`ROOT` iff unmatched), an odd
+    /// member's parent is an even member on the root side.
+    par: Vec<u32>,
+    /// Nets cut loose by the current refresh, in cut order.
+    orphans: Vec<u32>,
+    /// Nets (re-)attached by the current refresh, in attach order; also
+    /// the queue of the forward BFS.
+    queue: Vec<u32>,
+}
+
+impl AltForest {
+    fn new(n: usize, root_right: bool) -> Self {
+        // all nets start unmatched on L: the L forest is all roots
+        let all = if root_right { OUT } else { ROOT };
+        AltForest {
+            root_right,
+            par: vec![all; n],
+            orphans: Vec::new(),
+            queue: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn contains(&self, u: u32) -> bool {
+        self.par[u as usize] != OUT
+    }
+
+    /// Whether `u` sits on this forest's root side right now.
+    #[inline]
+    fn is_even(&self, m: &SplitMatcher, u: u32) -> bool {
+        m.side.is_right(u) == self.root_right
+    }
+
+    /// Brings the forest up to date with the move `delta` and appends
+    /// every net whose membership may have changed to `touched`. Returns
+    /// the number of nets visited: candidates checked, orphaned, and
+    /// (re-)attached or grown.
+    fn refresh(&mut self, m: &SplitMatcher, delta: &MoveDelta, touched: &mut Vec<u32>) -> u64 {
+        let v = delta.moved;
+        self.orphans.clear();
+        self.queue.clear();
+
+        // 1. Cut every broken parent link and dead root. The moved net
+        //    changed side, so its old children are enumerated by its
+        //    pre-move side `L`; its neighbors' only changed arcs are
+        //    the ones to it, so they fall with its subtree. Every other
+        //    changed arc is a mate change: an odd member's parent arc
+        //    does not depend on the matching, an even member's does.
+        if self.contains(v) {
+            self.cut(m, v, !self.root_right);
+        }
+        for &u in &delta.mates_changed {
+            if u == v || !self.contains(u) || !self.is_even(m, u) {
+                continue;
+            }
+            let mate = m.mate[u as usize];
+            let p = self.par[u as usize];
+            let intact = if p == ROOT { mate == NONE } else { p == mate };
+            if !intact {
+                self.cut(m, u, true);
+            }
+        }
+
+        // 2. Re-attach what has an in-arc from the surviving forest: the
+        //    moved net, new roots and new mates of the mate changes, and
+        //    the orphans. An odd candidate outside the forest gained no
+        //    in-arc (its in-arcs come from crossing neighbors, unchanged
+        //    unless through the moved net, which step 3 grows from).
+        self.attach(m, v);
+        for &u in &delta.mates_changed {
+            if u != v && !self.contains(u) && self.is_even(m, u) {
+                self.attach(m, u);
+            }
+        }
+        for i in 0..self.orphans.len() {
+            let u = self.orphans[i];
+            if !self.contains(u) {
+                self.attach(m, u);
+            }
+        }
+
+        // 3. Grow forward from everything attached, entering only nets
+        //    not yet reached.
+        let mut head = 0;
+        while head < self.queue.len() {
+            let w = self.queue[head];
+            head += 1;
+            if self.is_even(m, w) {
+                for &c in m.nbrs(w) {
+                    if m.side.is_right(c) != self.root_right && !self.contains(c) {
+                        self.par[c as usize] = w;
+                        self.queue.push(c);
+                    }
+                }
+            } else {
+                let c = m.mate[w as usize];
+                debug_assert_ne!(
+                    c, NONE,
+                    "unmatched net reachable from an unmatched net on the other side: \
+                     matching was not maximum"
+                );
+                if !self.contains(c) {
+                    self.par[c as usize] = w;
+                    self.queue.push(c);
+                }
+            }
+        }
+
+        touched.extend_from_slice(&self.orphans);
+        touched.extend_from_slice(&self.queue);
+        (1 + delta.mates_changed.len() + self.orphans.len() + self.queue.len()) as u64
+    }
+
+    /// Removes member `u` and its whole subtree, appending them to the
+    /// orphan list. `even` is `u`'s role in the forest, given separately
+    /// because the moved net's role comes from its pre-move side; every
+    /// descendant's role is read off its current side.
+    fn cut(&mut self, m: &SplitMatcher, u: u32, even: bool) {
+        let mut i = self.orphans.len();
+        self.par[u as usize] = OUT;
+        self.orphans.push(u);
+        while i < self.orphans.len() {
+            let w = self.orphans[i];
+            let w_even = if w == u { even } else { self.is_even(m, w) };
+            i += 1;
+            if w_even {
+                for &c in m.nbrs(w) {
+                    if self.par[c as usize] == w {
+                        self.par[c as usize] = OUT;
+                        self.orphans.push(c);
+                    }
+                }
+            } else {
+                // An odd net's only child is its mate. A child whose
+                // mate changed is a candidate itself and is cut there.
+                let c = m.mate[w as usize];
+                if c != NONE && self.par[c as usize] == w {
+                    self.par[c as usize] = OUT;
+                    self.orphans.push(c);
+                }
+            }
+        }
+    }
+
+    /// Attaches non-member `u` if it has an in-arc from a member: as a
+    /// root if it is an unmatched even net, under its mate if it is a
+    /// matched even net, under any even crossing neighbor if it is odd.
+    fn attach(&mut self, m: &SplitMatcher, u: u32) {
+        let p = if self.is_even(m, u) {
+            let mate = m.mate[u as usize];
+            if mate == NONE {
+                ROOT
+            } else if self.contains(mate) {
+                mate
+            } else {
+                return;
+            }
+        } else {
+            match m
+                .nbrs(u)
+                .iter()
+                .find(|&&x| m.side.is_right(x) == self.root_right && self.contains(x))
+            {
+                Some(&x) => x,
+                None => return,
+            }
+        };
+        self.par[u as usize] = p;
+        self.queue.push(u);
+    }
+}
+
+/// Incrementally-maintained winner/loser classification of every net,
+/// updated per split from two maintained alternating-reachability forests
+/// instead of re-running the alternating BFS (paper Figure 3) from
+/// scratch.
+///
+/// One forest is grown from the unmatched `L` nets (`Even(L)` winners and
+/// `Odd(L)` losers), the other from the unmatched `R` nets (`Even(R)`,
+/// `Odd(R)`); a net in neither forest is a matched member of `B'`. The two
+/// are disjoint whenever the matching is maximum. A move changes only
+/// arcs whose head is the moved net, one of its neighbors or a net whose
+/// mate changed ([`MoveDelta::mates_changed`]), so a refresh cuts away
+/// only the subtrees hanging off broken parent links, re-attaches what
+/// still has an in-arc from the surviving forest, and grows forward into
+/// nets not yet reached (`DESIGN.md` §11). The work is the summed degree
+/// of the candidate, orphaned and attached nets — small on netlists, but
+/// not worst-case `O(Δ)`: an orphaned subtree that re-attaches is
+/// visited without changing class. [`visited`](Self::visited) counts it.
 ///
 /// # Example
 ///
@@ -590,17 +791,15 @@ impl SplitMatcher {
 /// ```
 #[derive(Clone, Debug)]
 pub struct NetClassifier {
-    /// Current class of every net — the maintained state.
+    /// Current class of every net, derived from forest membership.
     class: Vec<NetClass>,
-    /// Flood-fill visit stamps delimiting the affected region.
-    visit: Vec<u32>,
-    /// Alternating-BFS reach stamps within the region.
-    mark: Vec<u32>,
-    /// Tentative class of vertices marked this epoch.
-    newclass: Vec<NetClass>,
-    epoch: u32,
-    region: Vec<u32>,
-    queue: Vec<u32>,
+    /// The forest grown from the unmatched `L` nets.
+    from_l: AltForest,
+    /// The forest grown from the unmatched `R` nets.
+    from_r: AltForest,
+    /// Nets whose membership the current refresh may have changed.
+    touched: Vec<u32>,
+    visited: u64,
 }
 
 impl NetClassifier {
@@ -609,12 +808,10 @@ impl NetClassifier {
     pub fn new(n: usize) -> Self {
         NetClassifier {
             class: vec![NetClass::WinnerL; n],
-            visit: vec![0; n],
-            mark: vec![0; n],
-            newclass: vec![NetClass::WinnerL; n],
-            epoch: 0,
-            region: Vec::new(),
-            queue: Vec::new(),
+            from_l: AltForest::new(n, false),
+            from_r: AltForest::new(n, true),
+            touched: Vec::new(),
+            visited: 0,
         }
     }
 
@@ -628,14 +825,21 @@ impl NetClassifier {
         &self.class
     }
 
+    /// Nets visited by every refresh so far, summed over both forests:
+    /// candidates checked, orphaned, re-attached and grown. A
+    /// deterministic work counter — the same moves always give the same
+    /// count.
+    pub fn visited(&self) -> u64 {
+        self.visited
+    }
+
     /// Updates the classification after `matcher` performed the move
     /// described by `delta`, appending every reclassified net to
     /// `changes` (cleared first).
     ///
-    /// A no-op (beyond relabeling the moved net) when the matching
-    /// structure is untouched; otherwise the alternating BFS re-runs only
-    /// inside the `B`-components containing the moved net or one of its
-    /// intersection-graph neighbors.
+    /// Both forests are repaired around the nets `delta` names; only
+    /// nets that leave or (re-)enter a forest, plus the moved net, are
+    /// reclassified.
     ///
     /// # Panics
     ///
@@ -649,152 +853,39 @@ impl NetClassifier {
     ) {
         assert_eq!(matcher.len(), self.class.len(), "net count mismatch");
         changes.clear();
-        let v = delta.moved;
-        if !delta.structural {
-            // isolated net: unmatched on either side, trivially Even
-            debug_assert!(delta.mates_changed.is_empty());
-            debug_assert_eq!(self.class[v as usize], NetClass::WinnerL);
-            self.record(v, NetClass::WinnerR, changes);
-            return;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
-
-        // 1. Affected region: the full components (over crossing edges)
-        //    of the moved net and all its neighbors. Every edge change is
-        //    incident to `v`, every mate change lies on an augmenting
-        //    path from `v` or its ex-partner (a neighbor of `v`), and a
-        //    component split off by the move retains a neighbor of `v` —
-        //    so everything that can reclassify is in here.
-        self.region.clear();
-        self.queue.clear();
-        self.seed_region(v, epoch);
-        for &u in matcher.nbrs(v) {
-            self.seed_region(u, epoch);
-        }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let u = self.queue[head];
-            head += 1;
-            let u_right = matcher.side.is_right(u);
-            for &w in matcher.nbrs(u) {
-                if matcher.side.is_right(w) != u_right && self.visit[w as usize] != epoch {
-                    self.seed_region(w, epoch);
-                }
-            }
-        }
-        debug_assert!(delta
-            .mates_changed
-            .iter()
-            .all(|&u| self.visit[u as usize] == epoch));
-
-        // 2. Alternating BFS from the region's unmatched `L` vertices:
-        //    Even(L) winners, Odd(L) losers (paper Figure 3).
-        self.queue.clear();
-        for i in 0..self.region.len() {
-            let u = self.region[i];
-            if !matcher.side.is_right(u) && matcher.mate[u as usize] == NONE {
-                self.mark[u as usize] = epoch;
-                self.newclass[u as usize] = NetClass::WinnerL;
-                self.queue.push(u);
-            }
-        }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let x = self.queue[head];
-            head += 1;
-            for &y in matcher.nbrs(x) {
-                if !matcher.side.is_right(y) || self.mark[y as usize] == epoch {
-                    continue;
-                }
-                self.mark[y as usize] = epoch;
-                self.newclass[y as usize] = NetClass::Loser; // Odd(L)
-                let x2 = matcher.mate[y as usize];
-                debug_assert_ne!(
-                    x2, NONE,
-                    "unmatched R vertex reachable from unmatched L vertex: \
-                     matching was not maximum"
-                );
-                if self.mark[x2 as usize] != epoch {
-                    self.mark[x2 as usize] = epoch;
-                    self.newclass[x2 as usize] = NetClass::WinnerL;
-                    self.queue.push(x2);
-                }
-            }
-        }
-
-        // 3. Alternating BFS from the region's unmatched `R` vertices:
-        //    Even(R) winners, Odd(R) losers.
-        self.queue.clear();
-        for i in 0..self.region.len() {
-            let u = self.region[i];
-            if matcher.side.is_right(u) && matcher.mate[u as usize] == NONE {
-                debug_assert_ne!(self.mark[u as usize], epoch);
-                self.mark[u as usize] = epoch;
-                self.newclass[u as usize] = NetClass::WinnerR;
-                self.queue.push(u);
-            }
-        }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let y = self.queue[head];
-            head += 1;
-            for &x in matcher.nbrs(y) {
-                if matcher.side.is_right(x) {
-                    continue;
-                }
-                if self.mark[x as usize] == epoch {
-                    debug_assert_ne!(
-                        self.newclass[x as usize],
-                        NetClass::WinnerL,
-                        "L vertex reachable from both unmatched sides: \
-                         augmenting path missed"
-                    );
-                    continue;
-                }
-                self.mark[x as usize] = epoch;
-                self.newclass[x as usize] = NetClass::Loser; // Odd(R)
-                let y2 = matcher.mate[x as usize];
-                debug_assert_ne!(y2, NONE);
-                if self.mark[y2 as usize] != epoch {
-                    self.mark[y2 as usize] = epoch;
-                    self.newclass[y2 as usize] = NetClass::WinnerR;
-                    self.queue.push(y2);
-                }
-            }
-        }
-
-        // 4. Finalize: unreached region vertices are matched members of
-        //    B'; diff everything against the stored classes.
-        for i in 0..self.region.len() {
-            let u = self.region[i];
-            let new = if self.mark[u as usize] == epoch {
-                self.newclass[u as usize]
-            } else {
-                debug_assert_ne!(matcher.mate[u as usize], NONE);
-                if matcher.side.is_right(u) {
-                    NetClass::BPrimeR
-                } else {
-                    NetClass::BPrimeL
+        self.touched.clear();
+        self.touched.push(delta.moved);
+        self.visited += self.from_l.refresh(matcher, delta, &mut self.touched);
+        self.visited += self.from_r.refresh(matcher, delta, &mut self.touched);
+        for i in 0..self.touched.len() {
+            let u = self.touched[i];
+            let in_l = self.from_l.contains(u);
+            let in_r = self.from_r.contains(u);
+            debug_assert!(
+                !(in_l && in_r),
+                "net {u} in both alternating forests: augmenting path missed"
+            );
+            let right = matcher.side.is_right(u);
+            let new = match (in_l, in_r, right) {
+                (true, _, false) => NetClass::WinnerL,
+                (_, true, true) => NetClass::WinnerR,
+                (true, _, true) | (_, true, false) => NetClass::Loser,
+                (false, false, _) => {
+                    debug_assert_ne!(matcher.mate[u as usize], NONE);
+                    if right {
+                        NetClass::BPrimeR
+                    } else {
+                        NetClass::BPrimeL
+                    }
                 }
             };
-            self.record(u, new, changes);
-        }
-    }
-
-    fn seed_region(&mut self, u: u32, epoch: u32) {
-        if self.visit[u as usize] != epoch {
-            self.visit[u as usize] = epoch;
-            self.region.push(u);
-            self.queue.push(u);
-        }
-    }
-
-    fn record(&mut self, net: u32, new: NetClass, changes: &mut Vec<NetClassChange>) {
-        let old = self.class[net as usize];
-        if old != new {
-            self.class[net as usize] = new;
-            changes.push(NetClassChange { net, old, new });
+            // a net touched twice is recorded once: the second call sees
+            // its class already current
+            let old = self.class[u as usize];
+            if old != new {
+                self.class[u as usize] = new;
+                changes.push(NetClassChange { net: u, old, new });
+            }
         }
     }
 }
@@ -1001,5 +1092,119 @@ mod tests {
         assert_eq!(m.matching_size(), 0); // everything on R, B empty
         let c = m.classify();
         assert_eq!(c.winners_r.len(), 6);
+    }
+
+    /// Applies `moves` to `m` and `c`, checking the classifier against the
+    /// from-scratch oracle after every move.
+    fn drive(m: &mut SplitMatcher, c: &mut NetClassifier, moves: &[u32]) -> MoveDelta {
+        let mut delta = MoveDelta::default();
+        let mut changes = Vec::new();
+        for &v in moves {
+            m.move_to_r_into(v, &mut delta);
+            c.refresh(m, &delta, &mut changes);
+            assert_eq!(
+                c.classes(),
+                m.classify().net_classes(m.len()).as_slice(),
+                "classifier diverged from the oracle after moving {v}"
+            );
+        }
+        delta
+    }
+
+    #[test]
+    fn deep_orphaned_subtree_reattaches_through_another_parent() {
+        // L roots 0 and 1 both reach R net 2; below it hangs the
+        // alternating chain 2 -mate- 3 - 4 -mate- 5
+        let nb = vec![
+            vec![2],
+            vec![2],
+            vec![3, 0, 1],
+            vec![2, 4],
+            vec![5, 3],
+            vec![4],
+        ];
+        let mut m = SplitMatcher::new(&nb);
+        let mut c = NetClassifier::new(m.len());
+        drive(&mut m, &mut c, &[2, 4]);
+        assert_eq!(m.mate_of(2), Some(3));
+        assert_eq!(m.mate_of(4), Some(5));
+        assert_eq!(c.from_l.par[..6], [ROOT, ROOT, 0, 2, 3, 4]);
+        // moving root 0 orphans the whole chain, which survives under 1
+        drive(&mut m, &mut c, &[0]);
+        assert_eq!(c.from_l.par[1..6], [ROOT, 1, 2, 3, 4]);
+        assert_eq!(c.from_l.orphans, [0, 2, 3, 4, 5]);
+        assert_eq!(c.class_of(0), NetClass::WinnerR);
+        assert_eq!(c.class_of(5), NetClass::WinnerL);
+    }
+
+    #[test]
+    fn free_root_matched_at_the_end_of_an_augmenting_path() {
+        // path 2 - 1 - 0 - 3: after moving 1, net 2 is a free L root
+        let nb = vec![vec![1, 3], vec![0, 2], vec![1], vec![0]];
+        let mut m = SplitMatcher::new(&nb);
+        let mut c = NetClassifier::new(m.len());
+        drive(&mut m, &mut c, &[1]);
+        assert_eq!(m.mate_of(1), Some(0));
+        assert_eq!(c.from_l.par[2], ROOT);
+        assert_eq!(c.from_l.par[1], 2);
+        // moving 3 augments 3-0-1-2: the root's tree dies with it
+        let delta = drive(&mut m, &mut c, &[3]);
+        assert_eq!(delta.mates_changed.last(), Some(&3));
+        assert!(delta.mates_changed.contains(&2));
+        assert_eq!(m.mate_of(2), Some(1));
+        assert_eq!(m.matching_size(), 2);
+        assert!((0..4).all(|u| !c.from_l.contains(u) && !c.from_r.contains(u)));
+        assert_eq!(c.class_of(2), NetClass::BPrimeL);
+    }
+
+    #[test]
+    fn detached_ex_partner_re_augments() {
+        // 0 - 1 - 2 with 1 - 3: moving 1 matches it to 0; moving 0 then
+        // exposes 1, which re-matches to 2 while free root 3 still
+        // reaches it
+        let nb = vec![vec![1], vec![0, 2, 3], vec![1], vec![1]];
+        let mut m = SplitMatcher::new(&nb);
+        let mut c = NetClassifier::new(m.len());
+        drive(&mut m, &mut c, &[1]);
+        assert_eq!(m.mate_of(1), Some(0));
+        let delta = drive(&mut m, &mut c, &[0]);
+        assert_eq!(delta.detached, Some(1));
+        assert_eq!(m.mate_of(1), Some(2));
+        // 3 is still a free L root; 1 is its odd child, 2 the even below
+        assert_eq!(c.from_l.par[3], ROOT);
+        assert_eq!(c.from_l.par[1], 3);
+        assert_eq!(c.from_l.par[2], 1);
+        assert_eq!(c.class_of(0), NetClass::WinnerR);
+        assert_eq!(c.class_of(1), NetClass::Loser);
+    }
+
+    #[test]
+    fn moved_even_root_with_children() {
+        // root 0 reaches R net 1, matched to 3; moving 0 leaves no free
+        // L net, so its old subtree drops into B'
+        let nb = vec![vec![1], vec![3, 0], vec![], vec![1]];
+        let mut m = SplitMatcher::new(&nb);
+        let mut c = NetClassifier::new(m.len());
+        drive(&mut m, &mut c, &[1]);
+        assert_eq!(c.from_l.par[..4], [ROOT, 0, ROOT, 1]);
+        drive(&mut m, &mut c, &[0]);
+        assert_eq!(c.from_l.orphans, [0, 1, 3]);
+        assert_eq!(c.from_r.par[0], ROOT);
+        assert_eq!(c.class_of(0), NetClass::WinnerR);
+        assert_eq!(c.class_of(1), NetClass::BPrimeR);
+        assert_eq!(c.class_of(3), NetClass::BPrimeL);
+    }
+
+    #[test]
+    fn classifier_matches_oracle_on_deep_alternating_paths() {
+        // every other net of a long path first, then the rest: the
+        // alternating trees run the length of the path
+        let n = 41u32;
+        let nb = path_graph(n as usize);
+        let mut m = SplitMatcher::new(&nb);
+        let mut c = NetClassifier::new(m.len());
+        let order: Vec<u32> = (1..n).step_by(2).chain((0..n).step_by(2)).collect();
+        drive(&mut m, &mut c, &order[..order.len() - 1]);
+        assert!(c.visited() > 0);
     }
 }

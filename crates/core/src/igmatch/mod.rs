@@ -20,9 +20,10 @@
 //!
 //! Both phases are maintained *incrementally* as the split slides
 //! (`DESIGN.md` §11): [`SplitMatcher::move_to_r`] reports the affected
-//! vertices as a [`MoveDelta`], [`NetClassifier`] re-runs the alternating
-//! BFS only inside the touched `B`-components, and [`SweepState`] folds
-//! the resulting class changes into maintained module tags and
+//! vertices as a [`MoveDelta`], [`NetClassifier`] repairs its two
+//! maintained alternating-reachability forests (from the unmatched `L`
+//! and the unmatched `R` nets) around those vertices, and [`SweepState`]
+//! folds the resulting class changes into maintained module tags and
 //! both-orientation cut statistics, so each split costs work proportional
 //! to what changed rather than the size of the instance. The winning
 //! partition is materialized once, after the sweep. In debug builds every

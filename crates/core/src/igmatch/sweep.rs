@@ -4,11 +4,12 @@
 //!
 //! [`SweepState`] drives one full IG-Match sweep: every
 //! [`advance`](SweepState::advance) moves one net across the split,
-//! refreshes the [`NetClassifier`] inside the affected `B`-components,
-//! and folds the resulting [`NetClassChange`]s into maintained per-module
-//! cover counters, per-net pin-tag counts and running cut totals — so the
-//! per-split evaluation is `O(1)` plus work proportional to what actually
-//! changed, instead of the from-scratch `O(|V|+|E|+pins)` of
+//! repairs the [`NetClassifier`]'s alternating-reachability forests
+//! around the nets the move touched, and folds the resulting
+//! [`NetClassChange`]s into maintained per-module cover counters, per-net
+//! pin-tag counts and running cut totals — so the per-split evaluation is
+//! `O(1)` plus work proportional to what actually changed, instead of the
+//! from-scratch `O(|V|+|E|+pins)` of
 //! [`CompletionOracle`]. In debug builds every advance cross-checks the
 //! maintained state against the oracle.
 
@@ -473,8 +474,8 @@ impl SweepState {
         }
     }
 
-    /// Moves `net` across the split, refreshes the classification inside
-    /// the affected components, folds the changes into the completion
+    /// Moves `net` across the split, refreshes the classification around
+    /// the nets the move touched, folds the changes into the completion
     /// state, and returns both orientations of the new split.
     ///
     /// In debug builds the maintained evaluation is asserted equal to the

@@ -1,21 +1,26 @@
 //! Equivalence suite for the incremental IG-Match sweep (DESIGN.md §11).
 //!
 //! The sweep engine maintains the net classification and the Phase II
-//! completion under O(Δ) updates; these properties pin it to the
+//! completion under incremental updates; these properties pin it to the
 //! from-scratch reference pipeline (`SplitMatcher::classify` +
 //! `CompletionOracle`) at **every** split — classes, both-orientation
 //! `CutStats`, `put_free_left`, loser counts, matching size, partitions
 //! and free masks — across random hypergraphs, random orderings, the
-//! degenerate-hypergraph distribution and the banded benchmark family.
+//! degenerate-hypergraph distribution, the banded benchmark family and
+//! connected `generate()` netlists under their spectral ordering.
 //!
 //! The same checks run as `debug_assert`s inside `SweepState::advance`;
 //! this suite keeps them alive in release builds (CI runs it with
-//! `cargo test --release --test sweep`).
+//! `cargo test --release --test sweep`). A work-counter test pins the
+//! classifier's per-move cost flat as connected instances grow.
 
 use ig_match_repro::core::igmatch::{
-    ig_match_with_ordering, CompletionOracle, OrientedEval, SplitMatcher, SweepState,
+    ig_match_with_ordering, CompletionOracle, IgMatchOptions, MoveDelta, NetClassifier,
+    OrientedEval, SplitMatcher, SweepState,
 };
 use ig_match_repro::core::models::intersection_neighbors;
+use ig_match_repro::core::ordering::spectral_net_ordering;
+use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
 use ig_match_repro::netlist::{Hypergraph, NetId};
 use np_testkit::{banded_hypergraph, check_cases, degenerate_hypergraph, small_hypergraph, Gen};
 
@@ -109,6 +114,66 @@ fn incremental_sweep_matches_oracle_on_banded_instances() {
         let order = shuffled_order(&mut g, &hg);
         assert_sweep_matches_oracle(&hg, &order);
     }
+}
+
+/// A connected `generate()` netlist with 1.12 nets per module, the shape
+/// of the benchmark's connected ladder.
+fn connected_netlist(modules: usize, seed: u64) -> Hypergraph {
+    generate(&GeneratorConfig::new(modules, modules * 112 / 100, seed))
+}
+
+/// The spectral net ordering IG-Match sweeps at default options.
+fn spectral_order(hg: &Hypergraph) -> Vec<u32> {
+    let opts = IgMatchOptions::default();
+    spectral_net_ordering(hg, opts.weighting, &opts.lanczos)
+        .expect("connected netlists have a Fiedler vector")
+        .iter()
+        .map(|n| n.0)
+        .collect()
+}
+
+/// Connected netlists grow deep alternating trees that the small random
+/// instances rarely do; the spectral order and its reverse both keep the
+/// cut small, so many nets sit in the forests at once.
+#[test]
+fn incremental_sweep_matches_oracle_on_connected_netlists() {
+    let hg = connected_netlist(1_500, 1);
+    let order = spectral_order(&hg);
+    assert_sweep_matches_oracle(&hg, &order);
+    let reversed: Vec<u32> = order.iter().rev().copied().collect();
+    assert_sweep_matches_oracle(&hg, &reversed);
+}
+
+/// Nets the classifier visits per move, averaged over a full spectral
+/// sweep of a connected netlist with `modules` modules.
+fn classifier_visits_per_move(modules: usize) -> f64 {
+    let hg = connected_netlist(modules, 1);
+    let order = spectral_order(&hg);
+    let neighbors = intersection_neighbors(&hg);
+    let mut matcher = SplitMatcher::new(&neighbors);
+    let mut classifier = NetClassifier::new(hg.num_nets());
+    let mut delta = MoveDelta::default();
+    let mut changes = Vec::new();
+    let moves = &order[..order.len() - 1];
+    for &net in moves {
+        matcher.move_to_r_into(net, &mut delta);
+        classifier.refresh(&matcher, &delta, &mut changes);
+    }
+    classifier.visited() as f64 / moves.len() as f64
+}
+
+/// The classifier's work per move must not grow with the instance on
+/// connected inputs. The counter is deterministic, so the gate has no
+/// timing noise; a classifier that re-floods whole `B`-components visits
+/// hundreds to thousands of nets per move, rising with size.
+#[test]
+fn classifier_work_per_move_stays_flat_on_connected_netlists() {
+    let small = classifier_visits_per_move(2_000);
+    let large = classifier_visits_per_move(8_000);
+    assert!(
+        large <= 1.5 * small,
+        "classifier visits per move grew from {small:.1} (2k modules) to {large:.1} (8k)"
+    );
 }
 
 /// The full algorithm over an explicit ordering must agree with a
