@@ -4,22 +4,18 @@
 //! (`BENCH_kernels.json` by default). CI runs this in release mode to
 //! track the kernel speed floor (DESIGN.md §16).
 //!
-//! Every fused/blocked variant is asserted **bit-identical** to its
+//! Every fused vecops kernel is asserted **bit-identical** to its
 //! straight-line reference before it is timed — a fast kernel that
 //! drifts from the reference fails the binary, not just the benchmark.
-//! The FP-reassociating variants behind the `reassoc-fast` feature are
-//! exempt from bit-identity by design and are compared under a relative
-//! tolerance instead.
 //!
 //! ```text
 //! cargo run --release -p bench --bin kernels [-- OUT.json]
-//! cargo run --release -p bench --features reassoc-fast --bin kernels
 //! ```
 
 use bench::{best_of, BenchEntry, BenchReport};
 use np_core::igmatch::SweepState;
 use np_core::models::{intersection_laplacian, intersection_neighbors, IgWeighting};
-use np_sparse::vecops::{axpy, axpy2, axpy_dot, dot, orthogonalize_against, orthogonalize_fused};
+use np_sparse::vecops::{axpy, axpy2, orthogonalize_against, orthogonalize_fused};
 use np_sparse::{CsrMatrix, LinearOperator, TripletBuilder};
 use np_testkit::banded_hypergraph;
 use std::hint::black_box;
@@ -28,8 +24,7 @@ use std::time::Duration;
 /// Timed repetitions per case; the minimum is reported.
 const RUNS: usize = 5;
 
-/// SpMV instance size — at [`CsrMatrix::SPMV_BLOCK_DISPATCH_DIM`] so the
-/// dispatch cost model (not just the size floor) decides the path.
+/// SpMV instance size (1 MiB of `x`, past L2 on common hosts).
 const SPMV_DIM: usize = 1 << 17;
 
 /// Half-bandwidth of the SpMV band matrix (17 nonzeros per interior row).
@@ -74,102 +69,33 @@ fn band_matrix(n: usize, band: usize) -> CsrMatrix {
     b.into_csr()
 }
 
-/// Matrix with `per_row` uniformly scattered columns per row — the
-/// cache-hostile access pattern the blocked kernel exists for.
-fn scatter_matrix(n: usize, per_row: usize) -> CsrMatrix {
-    let mut b = TripletBuilder::new(n);
-    let mut state = 0x5CA77E2u64;
-    for i in 0..n {
-        b.push(i, i, 4.0);
-        for _ in 0..per_row {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = ((state >> 16) % n as u64) as usize;
-            b.push(i, j, 0.25);
-        }
-    }
-    b.into_csr()
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_kernels.json".to_string());
     let mut report = BenchReport::new("kernels");
     report.meta("kernel", "speed-floor");
-    report.meta(
-        "fp_mode",
-        if cfg!(feature = "reassoc-fast") {
-            "reassoc-fast"
-        } else {
-            "bit-exact"
-        },
-    );
 
-    // --- CSR SpMV: straight loop vs cache-blocked vs the dispatcher ---
-    // Netlist-like rows (~17 nnz) are far below the one-entry-per-block
-    // density the blocked kernel needs to amortize its cursor probes, so
-    // the cost model must keep both instances on the straight path.
+    // --- CSR SpMV: netlist-like rows (17 nnz per interior row) ---------
     let x = rand_vec(1, SPMV_DIM);
-    for (name, m) in [
-        ("spmv_band", band_matrix(SPMV_DIM, SPMV_BAND)),
-        ("spmv_scatter", scatter_matrix(SPMV_DIM, 16)),
-    ] {
-        assert!(
-            !m.spmv_prefers_blocked(),
-            "{name}: cost model must reject blocking at ~17 nnz/row"
-        );
-        let mut reference = vec![0.0; SPMV_DIM];
-        m.apply_rows_unblocked(0, &x, &mut reference);
-        let mut out = vec![f64::NAN; SPMV_DIM];
-        m.apply_rows_blocked(0, &x, &mut out, CsrMatrix::SPMV_BLOCK_COLS);
-        assert!(
-            reference
-                .iter()
-                .zip(&out)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{name}: blocked SpMV is not bit-identical to the straight loop"
-        );
-        let (_, straight) = best_of(RUNS, || {
-            let mut out = vec![0.0; SPMV_DIM];
-            for _ in 0..SPMV_REPS {
-                m.apply_rows_unblocked(0, black_box(&x), &mut out);
-            }
-            black_box(out)
-        });
-        let (_, blocked) = best_of(RUNS, || {
-            let mut out = vec![0.0; SPMV_DIM];
-            for _ in 0..SPMV_REPS {
-                m.apply_rows_blocked(0, black_box(&x), &mut out, CsrMatrix::SPMV_BLOCK_COLS);
-            }
-            black_box(out)
-        });
-        let (_, dispatch) = best_of(RUNS, || {
-            let mut out = vec![0.0; SPMV_DIM];
-            for _ in 0..SPMV_REPS {
-                m.apply_rows(0, black_box(&x), &mut out);
-            }
-            black_box(out)
-        });
-        let straight_ms = straight.as_secs_f64() * 1e3;
-        let blocked_ms = blocked.as_secs_f64() * 1e3;
-        let dispatch_ms = dispatch.as_secs_f64() * 1e3;
-        println!(
-            "{name:<16} n={SPMV_DIM:<8} straight {straight_ms:>9.3} ms  blocked \
-             {blocked_ms:>9.3} ms  dispatch {dispatch_ms:>9.3} ms"
-        );
-        report.push(
-            BenchEntry::new()
-                .str("name", name)
-                .int("n", SPMV_DIM)
-                .int("nnz", m.nnz())
-                .fixed("straight_ms", straight_ms)
-                .fixed("blocked_ms", blocked_ms)
-                .fixed("dispatch_ms", dispatch_ms)
-                .rate("matvecs_per_sec", SPMV_REPS, dispatch),
-        );
-    }
+    let m = band_matrix(SPMV_DIM, SPMV_BAND);
+    let (_, spmv_wall) = best_of(RUNS, || {
+        let mut out = vec![0.0; SPMV_DIM];
+        for _ in 0..SPMV_REPS {
+            m.apply(black_box(&x), &mut out);
+        }
+        black_box(out)
+    });
+    let spmv_ms = spmv_wall.as_secs_f64() * 1e3;
+    println!("{:<16} n={SPMV_DIM:<8} wall {spmv_ms:>9.3} ms", "spmv_band");
+    report.push(
+        BenchEntry::new()
+            .str("name", "spmv_band")
+            .int("n", SPMV_DIM)
+            .int("nnz", m.nnz())
+            .fixed("wall_ms", spmv_ms)
+            .rate("matvecs_per_sec", SPMV_REPS, spmv_wall),
+    );
 
     // --- Laplacian apply: fused degree/gather loop --------------------
     let hg = banded_hypergraph(17, 6_000, 4_000, 12);
@@ -195,17 +121,6 @@ fn main() {
     let v = rand_vec(4, VEC_N);
     let w = rand_vec(5, VEC_N);
     {
-        // axpy-then-dot vs fused axpy_dot: same bits out of both.
-        let mut a = v.clone();
-        axpy(0.37, &u, &mut a);
-        let want = dot(&w, &a);
-        let mut b = v.clone();
-        let got = axpy_dot(0.37, &u, &mut b, &w);
-        assert!(
-            a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits())
-                && want.to_bits() == got.to_bits(),
-            "fused axpy_dot is not bit-identical to axpy + dot"
-        );
         // two axpys vs fused axpy2.
         let mut a = v.clone();
         axpy(0.37, &u, &mut a);
@@ -217,32 +132,6 @@ fn main() {
             "fused axpy2 is not bit-identical to two axpys"
         );
     }
-    let (_, unfused) = best_of(RUNS, || {
-        let mut acc = 0.0;
-        let mut y = v.clone();
-        for _ in 0..VEC_REPS {
-            axpy(black_box(0.37), &u, &mut y);
-            acc += dot(&w, &y);
-        }
-        black_box(acc)
-    });
-    let (_, fused) = best_of(RUNS, || {
-        let mut acc = 0.0;
-        let mut y = v.clone();
-        for _ in 0..VEC_REPS {
-            acc += axpy_dot(black_box(0.37), &u, &mut y, &w);
-        }
-        black_box(acc)
-    });
-    push_pair(
-        &mut report,
-        "axpy_dot",
-        VEC_N,
-        "ops_per_sec",
-        VEC_REPS,
-        unfused,
-        fused,
-    );
 
     // --- Reorthogonalization: sequential sweep vs fused chain ---------
     let basis: Vec<Vec<f64>> = (0..BASIS_M)
@@ -285,42 +174,6 @@ fn main() {
         seq,
         fused_orth,
     );
-
-    // --- reassoc-fast: tolerance-checked, never bit-compared ----------
-    #[cfg(feature = "reassoc-fast")]
-    {
-        use np_sparse::vecops::dot_reassoc;
-        let exact = dot(&u, &v);
-        let fast = dot_reassoc(&u, &v);
-        let scale = u.len() as f64 * f64::EPSILON * 64.0;
-        assert!(
-            (exact - fast).abs() <= scale * exact.abs().max(1.0),
-            "reassociated dot out of tolerance: {exact} vs {fast}"
-        );
-        let (_, exact_wall) = best_of(RUNS, || {
-            let mut acc = 0.0;
-            for _ in 0..VEC_REPS {
-                acc += dot(black_box(&u), black_box(&v));
-            }
-            black_box(acc)
-        });
-        let (_, fast_wall) = best_of(RUNS, || {
-            let mut acc = 0.0;
-            for _ in 0..VEC_REPS {
-                acc += dot_reassoc(black_box(&u), black_box(&v));
-            }
-            black_box(acc)
-        });
-        push_pair(
-            &mut report,
-            "dot_reassoc",
-            VEC_N,
-            "ops_per_sec",
-            VEC_REPS,
-            exact_wall,
-            fast_wall,
-        );
-    }
 
     // --- IG-Match sweep BFS: bitset + flattened adjacency -------------
     let sweep_hg = banded_hypergraph(17, 4_500, 3_000, 12);

@@ -16,7 +16,7 @@
 use crate::dense::try_jacobi_eigen;
 use crate::lanczos::{EigenPair, LanczosOptions};
 use crate::EigenError;
-use np_sparse::vecops::{accumulate_scaled, axpy, dot_hot, norm2, normalize, orthogonalize_fused};
+use np_sparse::vecops::{accumulate_scaled, axpy, dot, norm2, normalize, orthogonalize_fused};
 use np_sparse::{BudgetMeter, LinearOperator};
 
 /// Options for [`smallest_deflated_block`].
@@ -167,7 +167,7 @@ pub fn smallest_deflated_block_metered(
                     row.resize(basis.len(), 0.0);
                 }
                 for (i, b) in basis.iter().enumerate() {
-                    let c = dot_hot(b, &w);
+                    let c = dot(b, &w);
                     t[i][j] = c;
                     t[j][i] = c;
                 }

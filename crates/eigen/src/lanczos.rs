@@ -26,7 +26,7 @@ use crate::dense::{materialize, try_jacobi_eigen};
 use crate::tridiag::eigh_tridiagonal;
 use crate::EigenError;
 use np_sparse::vecops::{
-    accumulate_scaled, axpy, axpy2, dot_hot, norm2, norm2_hot, normalize, orthogonalize_fused,
+    accumulate_scaled, axpy, axpy2, dot, norm2, normalize, orthogonalize_fused,
 };
 use np_sparse::{BudgetMeter, LinearOperator};
 
@@ -180,7 +180,7 @@ pub fn smallest_deflated_metered(
             op.apply(&basis[j], &mut w);
             matvecs += 1;
             meter.charge(1)?;
-            let alpha = dot_hot(&w, &basis[j]);
+            let alpha = dot(&w, &basis[j]);
             if !alpha.is_finite() {
                 return Err(EigenError::NonFinite {
                     stage: "lanczos iteration",
@@ -196,7 +196,7 @@ pub fn smallest_deflated_metered(
             // full reorthogonalization (deflation set twice, then the
             // basis twice), fused into a single m+1-pass sweep
             orthogonalize_fused(&[&deflate, &deflate, &basis, &basis], &mut w);
-            let beta = norm2_hot(&w);
+            let beta = norm2(&w);
             if !beta.is_finite() {
                 return Err(EigenError::NonFinite {
                     stage: "lanczos iteration",

@@ -1,13 +1,14 @@
 //! Span fan-in: portfolio events from concurrent attempts → one
 //! [`SpanRing`].
 //!
-//! A portfolio interleaves [`StageEvent`]s from every worker thread;
-//! the [`PortfolioSink`] fan-in already tags each event with its attempt
-//! index. [`SpanFanIn`] completes the picture for tracing: it keeps one
-//! open-stage stack *per attempt* (stages of different attempts overlap
-//! in time but never nest across attempts), closes each stage on its
-//! `Finished` event and records a [`SpanKind::Stage`] span tagged with
-//! the attempt into the shared ring.
+//! A portfolio interleaves [`StageEvent`](np_core::engine::StageEvent)s
+//! from every worker thread; the [`PortfolioSink`] fan-in already tags
+//! each event with its attempt index. [`SpanFanIn`] completes the
+//! picture for tracing: it routes each attempt's events to that
+//! attempt's own [`SpanRecorder`] (stages of different attempts overlap
+//! in time but never nest across attempts), so every
+//! [`SpanKind::Stage`] span lands in the shared ring tagged with its
+//! attempt.
 //!
 //! After the run, [`record_attempt_spans`] turns the
 //! [`PortfolioReport`]'s per-attempt wall times into
@@ -16,8 +17,8 @@
 //! the request span itself).
 
 use crate::{PortfolioEvent, PortfolioReport, PortfolioSink};
-use np_core::engine::trace::{Span, SpanKind, SpanRing};
-use np_core::engine::StageEvent;
+use np_core::engine::trace::{Span, SpanKind, SpanRecorder, SpanRing};
+use np_core::engine::EventSink;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -28,7 +29,7 @@ use std::time::Instant;
 pub struct SpanFanIn<'a> {
     ring: &'a SpanRing,
     request: u64,
-    open: Mutex<HashMap<usize, Vec<(String, Instant)>>>,
+    recorders: Mutex<HashMap<usize, SpanRecorder<'a>>>,
     forward: Option<&'a dyn PortfolioSink>,
 }
 
@@ -48,7 +49,7 @@ impl<'a> SpanFanIn<'a> {
         SpanFanIn {
             ring,
             request,
-            open: Mutex::new(HashMap::new()),
+            recorders: Mutex::new(HashMap::new()),
             forward: None,
         }
     }
@@ -63,35 +64,12 @@ impl<'a> SpanFanIn<'a> {
 
 impl PortfolioSink for SpanFanIn<'_> {
     fn on_event(&self, event: &PortfolioEvent<'_>) {
-        match event.event {
-            StageEvent::Started { stage } => {
-                self.open
-                    .lock()
-                    .expect("fan-in lock")
-                    .entry(event.attempt)
-                    .or_default()
-                    .push((stage.to_string(), Instant::now()));
-            }
-            StageEvent::Finished { stage, outcome } => {
-                let started = {
-                    let mut open = self.open.lock().expect("fan-in lock");
-                    let stack = open.entry(event.attempt).or_default();
-                    match stack.iter().rposition(|(name, _)| name == *stage) {
-                        Some(i) => stack.remove(i).1,
-                        None => Instant::now(),
-                    }
-                };
-                self.ring.record_since(
-                    SpanKind::Stage,
-                    *stage,
-                    self.request,
-                    Some(event.attempt),
-                    started,
-                    Some(outcome.is_ok()),
-                );
-            }
-            StageEvent::Detail { .. } => {}
-        }
+        self.recorders
+            .lock()
+            .expect("fan-in lock")
+            .entry(event.attempt)
+            .or_insert_with(|| SpanRecorder::tagged(self.ring, self.request, Some(event.attempt)))
+            .on_event(event.event);
         if let Some(sink) = self.forward {
             sink.on_event(event);
         }
@@ -128,6 +106,7 @@ mod tests {
     use super::*;
     use crate::{run_portfolio, Portfolio, PortfolioOptions, RandomStartFmStage};
     use np_core::engine::stages::IgMatchStage;
+    use np_core::engine::StageEvent;
     use np_netlist::hypergraph_from_nets;
     use np_sparse::BudgetMeter;
 

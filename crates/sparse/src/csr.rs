@@ -326,44 +326,8 @@ impl CsrMatrix {
         }
     }
 
-    /// Column-block width of the cache-blocked SpMV path: 16384 columns of
-    /// `x` span 128 KiB, sized to sit in L2 while the CSR arrays stream.
-    pub const SPMV_BLOCK_COLS: usize = 1 << 14;
-
-    /// Dimension floor below which [`apply_rows`](CsrMatrix::apply_rows)
-    /// never considers the cache-blocked path: under 1 MiB of `x` the
-    /// whole gather range sits in cache and blocking cannot pay.
-    pub const SPMV_BLOCK_DISPATCH_DIM: usize = 1 << 17;
-
-    /// Stored entries per row per column block the cost model requires
-    /// before the blocked path can pay for its cursor probes (see
-    /// [`spmv_prefers_blocked`](CsrMatrix::spmv_prefers_blocked)).
-    pub const SPMV_BLOCK_MIN_ENTRIES_PER_PROBE: usize = 16;
-
-    /// `true` when the cost model picks the cache-blocked SpMV path for
-    /// this matrix: the dimension reaches
-    /// [`SPMV_BLOCK_DISPATCH_DIM`](CsrMatrix::SPMV_BLOCK_DISPATCH_DIM)
-    /// *and* rows are dense enough to amortize the blocked kernel's
-    /// per-row-per-block cursor probe. A probe (cursor load/store, row
-    /// bound, one overshooting column compare) costs an order of
-    /// magnitude more than one streamed entry, so the model demands
-    /// [`SPMV_BLOCK_MIN_ENTRIES_PER_PROBE`](CsrMatrix::SPMV_BLOCK_MIN_ENTRIES_PER_PROBE)
-    /// stored entries per row per column block on average. The `kernels`
-    /// micro-bench shows the straight loop winning decisively below that
-    /// density (at netlist-like ~17 nnz/row the probe overhead is pure
-    /// loss, 3–12× slower at 2¹⁷–2²¹ rows), so the degree-bounded
-    /// netlist operators of this workspace stay on the straight path at
-    /// every size; see `DESIGN.md` §16 for the measurements.
-    pub fn spmv_prefers_blocked(&self) -> bool {
-        if self.n < Self::SPMV_BLOCK_DISPATCH_DIM {
-            return false;
-        }
-        let blocks = self.n.div_ceil(Self::SPMV_BLOCK_COLS);
-        let probes = self.n.saturating_mul(blocks);
-        self.nnz() / Self::SPMV_BLOCK_MIN_ENTRIES_PER_PROBE >= probes
-    }
-
-    /// Computes rows `lo..lo + out.len()` of the product `A·x` into `out`.
+    /// Computes rows `lo..lo + out.len()` of the product `A·x` into `out`:
+    /// one ascending pass per row with a single accumulator.
     ///
     /// This is the per-shard kernel of the row-sharded parallel matvec
     /// (see [`crate::parallel`]): each row's dot product is accumulated
@@ -372,32 +336,10 @@ impl CsrMatrix {
     /// [`apply`](crate::LinearOperator::apply) — no reduction order is
     /// introduced that serial execution would not also have.
     ///
-    /// When [`spmv_prefers_blocked`](CsrMatrix::spmv_prefers_blocked)
-    /// holds this dispatches to the cache-blocked kernel
-    /// ([`apply_rows_blocked`](CsrMatrix::apply_rows_blocked)), which is
-    /// itself bit-identical to the straight loop — per-row accumulation
-    /// order is unchanged — so the dispatch decision is invisible in the
-    /// output.
-    ///
     /// # Panics
     ///
     /// Panics if `x.len() != dim()` or the row range exceeds the matrix.
     pub fn apply_rows(&self, lo: usize, x: &[f64], out: &mut [f64]) {
-        if self.spmv_prefers_blocked() {
-            self.apply_rows_blocked(lo, x, out, Self::SPMV_BLOCK_COLS);
-        } else {
-            self.apply_rows_unblocked(lo, x, out);
-        }
-    }
-
-    /// The straight (non-blocked) SpMV kernel: one ascending pass per row,
-    /// single accumulator — the bit-identity reference for every other
-    /// SpMV variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()` or the row range exceeds the matrix.
-    pub fn apply_rows_unblocked(&self, lo: usize, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.n, "input vector dimension mismatch");
         assert!(lo + out.len() <= self.n, "row range out of bounds");
         for (k, dst) in out.iter_mut().enumerate() {
@@ -407,46 +349,6 @@ impl CsrMatrix {
                 acc += v * x[c as usize];
             }
             *dst = acc;
-        }
-    }
-
-    /// Cache-blocked SpMV over rows `lo..lo + out.len()`: the column range
-    /// is processed in blocks of `block_cols`, so each shard's gathers
-    /// from `x` stay within one block span before moving on — the working
-    /// set per block is `8 · block_cols` bytes of `x` plus the streamed
-    /// CSR entries.
-    ///
-    /// Bit-identical to
-    /// [`apply_rows_unblocked`](CsrMatrix::apply_rows_unblocked): each
-    /// row's entries are still accumulated in ascending column order with
-    /// a single accumulator — it is carried between blocks through
-    /// `out[k]`, and an `f64` store/reload round-trip is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_cols == 0`, `x.len() != dim()`, or the row range
-    /// exceeds the matrix.
-    pub fn apply_rows_blocked(&self, lo: usize, x: &[f64], out: &mut [f64], block_cols: usize) {
-        assert!(block_cols > 0, "block_cols must be positive");
-        assert_eq!(x.len(), self.n, "input vector dimension mismatch");
-        assert!(lo + out.len() <= self.n, "row range out of bounds");
-        out.fill(0.0);
-        let mut cursor: Vec<u32> = self.row_offsets[lo..lo + out.len()].to_vec();
-        let mut c0 = 0usize;
-        while c0 < self.n {
-            let c1 = (c0 + block_cols).min(self.n) as u32;
-            for (k, dst) in out.iter_mut().enumerate() {
-                let end = self.row_offsets[lo + k + 1];
-                let mut p = cursor[k];
-                let mut acc = *dst;
-                while p < end && self.col_idx[p as usize] < c1 {
-                    acc += self.values[p as usize] * x[self.col_idx[p as usize] as usize];
-                    p += 1;
-                }
-                *dst = acc;
-                cursor[k] = p;
-            }
-            c0 += block_cols;
         }
     }
 
@@ -615,75 +517,5 @@ mod tests {
     #[should_panic(expected = "overflows the u32 index space")]
     fn new_panics_on_u32_overflow() {
         let _ = TripletBuilder::new(u32::MAX as usize + 1);
-    }
-
-    /// Deterministic sparse band matrix for kernel-equivalence tests.
-    fn band_matrix(n: usize, band: usize) -> CsrMatrix {
-        let mut b = TripletBuilder::new(n);
-        for i in 0..n {
-            for d in 1..=band {
-                let j = (i + d * d) % n;
-                if i != j {
-                    b.push_sym(i, j, 1.0 / (1.0 + d as f64) + i as f64 * 1e-6);
-                }
-            }
-        }
-        b.into_csr()
-    }
-
-    #[test]
-    fn blocked_apply_bit_identical_to_unblocked() {
-        let n = 500;
-        let m = band_matrix(n, 5);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut want = vec![0.0; n];
-        m.apply_rows_unblocked(0, &x, &mut want);
-        // block widths straddling row extents, including degenerate 1
-        for block in [1usize, 7, 64, 250, 500, 10_000] {
-            let mut got = vec![1.0; n]; // pre-poisoned: kernel must overwrite
-            m.apply_rows_blocked(0, &x, &mut got, block);
-            assert_eq!(got, want, "block={block}");
-        }
-        // sharded row ranges, as the threaded operator issues them
-        for (lo, len) in [(0usize, 100usize), (100, 300), (400, 100), (250, 0)] {
-            let mut got = vec![0.0; len];
-            m.apply_rows_blocked(lo, &x, &mut got, 64);
-            assert_eq!(got.as_slice(), &want[lo..lo + len], "lo={lo}");
-        }
-    }
-
-    #[test]
-    fn dispatching_apply_matches_unblocked_reference() {
-        let m = band_matrix(300, 4);
-        let x: Vec<f64> = (0..300).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut a = vec![0.0; 300];
-        let mut b = vec![0.0; 300];
-        m.apply_rows(0, &x, &mut a);
-        m.apply_rows_unblocked(0, &x, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "block_cols must be positive")]
-    fn zero_block_width_panics() {
-        let m = CsrMatrix::zero(4);
-        let mut y = vec![0.0; 4];
-        m.apply_rows_blocked(0, &[0.0; 4], &mut y, 0);
-    }
-
-    #[test]
-    fn cost_model_keeps_sparse_rows_on_straight_path() {
-        // Small dimensions never block, regardless of density.
-        assert!(!band_matrix(300, 4).spmv_prefers_blocked());
-        // At the dimension floor, netlist-like row density (a handful of
-        // entries per row) stays far below the per-probe amortization
-        // bar, so the dispatcher must keep the straight loop.
-        let n = CsrMatrix::SPMV_BLOCK_DISPATCH_DIM;
-        let mut b = TripletBuilder::new(n);
-        for i in 0..n {
-            b.push(i, i, 1.0);
-            b.push(i, (i * 7 + 13) % n, 0.5);
-        }
-        assert!(!b.into_csr().spmv_prefers_blocked());
     }
 }

@@ -73,35 +73,23 @@ impl Laplacian {
     /// element is finished as `d[r]·x[r] − Σ A[r,c]·x[c]` while the row is
     /// hot, removing the second streaming pass over `out` the unfused form
     /// needed — bit-identical, since the expression per element is
-    /// unchanged. Operators whose adjacency prefers the cache-blocked
-    /// kernel ([`CsrMatrix::spmv_prefers_blocked`]) instead use that
-    /// kernel plus the separate degree pass (the blocked gather wins
-    /// more there than the extra pass costs), which computes the same
-    /// bits.
+    /// unchanged.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != dim()` or the row range exceeds the operator.
     pub fn apply_rows(&self, lo: usize, x: &[f64], out: &mut [f64]) {
         let n = self.degrees.len();
-        if self.adjacency.spmv_prefers_blocked() {
-            self.adjacency.apply_rows(lo, x, out);
-            for (k, v) in out.iter_mut().enumerate() {
-                let r = lo + k;
-                *v = self.degrees[r] * x[r] - *v;
+        assert_eq!(x.len(), n, "input vector dimension mismatch");
+        assert!(lo + out.len() <= n, "row range out of bounds");
+        for (k, dst) in out.iter_mut().enumerate() {
+            let r = lo + k;
+            let (cols, vals) = self.adjacency.row(r);
+            let mut acc = 0.0;
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += v * x[c as usize];
             }
-        } else {
-            assert_eq!(x.len(), n, "input vector dimension mismatch");
-            assert!(lo + out.len() <= n, "row range out of bounds");
-            for (k, dst) in out.iter_mut().enumerate() {
-                let r = lo + k;
-                let (cols, vals) = self.adjacency.row(r);
-                let mut acc = 0.0;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    acc += v * x[c as usize];
-                }
-                *dst = self.degrees[r] * x[r] - acc;
-            }
+            *dst = self.degrees[r] * x[r] - acc;
         }
     }
 

@@ -3,16 +3,13 @@
 //! # Fusion and the bit-identity contract
 //!
 //! The Lanczos hot loop is memory-bound: its cost is passes over `O(n)`
-//! vectors, not flops. The fused kernels here ([`axpy_dot`], [`axpy2`],
+//! vectors, not flops. The fused kernels here ([`axpy2`],
 //! [`orthogonalize_fused`], [`accumulate_scaled`]) combine what would be
 //! two or more passes into one, **without changing the floating-point
 //! operation order**: every fused kernel is bit-identical to the sequence
 //! of naive kernels it replaces (the equivalence property tests in
-//! `tests/spectral.rs` pin this down). Reassociating variants that *do*
-//! change the reduction order ([`dot_reassoc`], [`norm2_reassoc`]) are
-//! always compiled (so they can be tested) but are only dispatched to by
-//! the hot-path entry points ([`dot_hot`], [`norm2_hot`]) when the
-//! `reassoc-fast` cargo feature is enabled.
+//! `tests/spectral.rs` pin this down). Reductions have one shape: [`dot`]
+//! and [`norm2`] accumulate sequentially in ascending index order.
 
 /// Dot product `xᵀy`.
 ///
@@ -75,32 +72,6 @@ pub fn orthogonalize_against(u: &[f64], x: &mut [f64]) {
     axpy(-c, u, x);
 }
 
-/// Fused update-and-project: `y ← y + alpha · x`, returning `zᵀy` for the
-/// *updated* `y` — one pass over memory instead of an [`axpy`] pass
-/// followed by a [`dot`] pass.
-///
-/// Bit-identical to `axpy(alpha, x, y); dot(z, y)`: the update expression
-/// and the single-accumulator ascending-index reduction are exactly the
-/// ones the two separate kernels use.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "axpy_dot length mismatch");
-    assert_eq!(z.len(), y.len(), "axpy_dot length mismatch");
-    // −0.0 is the IEEE additive identity `f64::sum()` folds from; starting
-    // there keeps even the empty and all-(−0.0) cases bit-identical to
-    // [`dot`].
-    let mut acc = -0.0;
-    for ((yi, xi), zi) in y.iter_mut().zip(x).zip(z) {
-        let v = *yi + alpha * xi;
-        *yi = v;
-        acc += zi * v;
-    }
-    acc
-}
-
 /// Fused double update: `y ← y + a1 · x1 + a2 · x2` in one pass.
 ///
 /// Bit-identical to `axpy(a1, x1, y); axpy(a2, x2, y)`: each element is
@@ -123,8 +94,8 @@ pub fn axpy2(a1: f64, x1: &[f64], a2: f64, x2: &[f64], y: &mut [f64]) {
 ///
 /// Equivalent to `for u in concat(sets) { orthogonalize_against(u, x) }`
 /// bit for bit, but each vector's subtraction pass doubles as the next
-/// vector's projection pass (via [`axpy_dot`]), so a sweep over `m`
-/// vectors touches `x` `m + 1` times instead of `2m` times. Since full
+/// vector's projection pass, so a sweep over `m` vectors touches `x`
+/// `m + 1` times instead of `2m` times. Since full
 /// reorthogonalization is the dominant `O(j·n)` cost of a Lanczos step,
 /// this roughly halves the hot loop's memory traffic.
 ///
@@ -141,7 +112,18 @@ pub fn orthogonalize_fused(sets: &[&[Vec<f64>]], x: &mut [f64]) {
     let mut u: &Vec<f64> = first;
     let mut c = dot(u, x);
     for next in it {
-        c = axpy_dot(-c, u, x, next);
+        assert_eq!(next.len(), x.len(), "orthogonalize length mismatch");
+        // `axpy(-c, u, x)` and `dot(next, x)` in one pass: the same update
+        // expression, and the same ascending single-accumulator reduction
+        // from −0.0, the additive identity `f64::sum()` folds from.
+        let alpha = -c;
+        let mut acc = -0.0;
+        for ((xi, ui), ni) in x.iter_mut().zip(u).zip(next) {
+            let v = *xi + alpha * ui;
+            *xi = v;
+            acc += ni * v;
+        }
+        c = acc;
         u = next;
     }
     axpy(-c, u, x);
@@ -170,64 +152,6 @@ pub fn accumulate_scaled(coeffs: &[f64], vecs: &[Vec<f64>], y: &mut [f64]) {
     if i < coeffs.len() {
         axpy(coeffs[i], &vecs[i], y);
     }
-}
-
-/// Dot product with a 4-lane reassociated reduction — the auto-vectorizable
-/// shape. **Not** bit-identical to [`dot`] in general (the partial sums are
-/// combined in a different order); agreement is only up to rounding.
-///
-/// Always compiled so the tolerance-mode equivalence tests can exercise it;
-/// the hot paths reach it only through [`dot_hot`] under the
-/// `reassoc-fast` feature.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot_reassoc(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    let mut acc = [0.0f64; 4];
-    for (a, b) in x.chunks_exact(4).zip(y.chunks_exact(4)) {
-        acc[0] += a[0] * b[0];
-        acc[1] += a[1] * b[1];
-        acc[2] += a[2] * b[2];
-        acc[3] += a[3] * b[3];
-    }
-    let mut tail = 0.0;
-    for (a, b) in x
-        .chunks_exact(4)
-        .remainder()
-        .iter()
-        .zip(y.chunks_exact(4).remainder())
-    {
-        tail += a * b;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Euclidean norm via [`dot_reassoc`]; same caveats.
-pub fn norm2_reassoc(x: &[f64]) -> f64 {
-    dot_reassoc(x, x).sqrt()
-}
-
-/// The dot product used on reduction hot paths (Lanczos `α`, `β`).
-///
-/// Sequential [`dot`] — bit-identical to the naive reference — by default;
-/// the 4-lane [`dot_reassoc`] under the `reassoc-fast` feature.
-pub fn dot_hot(x: &[f64], y: &[f64]) -> f64 {
-    #[cfg(feature = "reassoc-fast")]
-    {
-        dot_reassoc(x, y)
-    }
-    #[cfg(not(feature = "reassoc-fast"))]
-    {
-        dot(x, y)
-    }
-}
-
-/// The Euclidean norm used on reduction hot paths; dispatches like
-/// [`dot_hot`].
-pub fn norm2_hot(x: &[f64]) -> f64 {
-    dot_hot(x, x).sqrt()
 }
 
 #[cfg(test)]
@@ -288,22 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_dot_bit_identical_to_axpy_then_dot() {
-        for n in [0usize, 1, 3, 64, 257] {
-            let x = rand_vec(1, n);
-            let z = rand_vec(2, n);
-            let y0 = rand_vec(3, n);
-            let mut fused = y0.clone();
-            let got = axpy_dot(0.731, &x, &mut fused, &z);
-            let mut plain = y0.clone();
-            axpy(0.731, &x, &mut plain);
-            let want = dot(&z, &plain);
-            assert_eq!(fused, plain, "n={n}");
-            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
     fn axpy2_bit_identical_to_two_axpys() {
         for n in [0usize, 1, 5, 100] {
             let x1 = rand_vec(4, n);
@@ -357,39 +265,5 @@ mod tests {
             }
             assert_eq!(fused, plain, "m={m}");
         }
-    }
-
-    #[test]
-    fn dot_reassoc_agrees_within_tolerance() {
-        for n in [0usize, 1, 3, 4, 7, 128, 1001] {
-            let x = rand_vec(70, n);
-            let y = rand_vec(71, n);
-            let a = dot(&x, &y);
-            let b = dot_reassoc(&x, &y);
-            assert!(
-                (a - b).abs() <= 1e-12 * (1.0 + a.abs()),
-                "n={n}: {a} vs {b}"
-            );
-        }
-        assert_eq!(norm2_reassoc(&[3.0, 4.0]), 5.0);
-    }
-
-    #[test]
-    fn hot_kernels_dispatch_per_feature() {
-        let x = rand_vec(80, 777);
-        let y = rand_vec(81, 777);
-        let want = if cfg!(feature = "reassoc-fast") {
-            dot_reassoc(&x, &y)
-        } else {
-            dot(&x, &y)
-        };
-        assert_eq!(dot_hot(&x, &y).to_bits(), want.to_bits());
-        // norm2_hot is sqrt of the self-dot under the same dispatch
-        let self_want = if cfg!(feature = "reassoc-fast") {
-            dot_reassoc(&x, &x).sqrt()
-        } else {
-            norm2(&x)
-        };
-        assert_eq!(norm2_hot(&x).to_bits(), self_want.to_bits());
     }
 }

@@ -23,9 +23,7 @@ use ig_match_repro::core::ordering::{spectral_module_ordering_ctx, spectral_net_
 use ig_match_repro::core::IgWeighting;
 use ig_match_repro::eigen::{fiedler, LanczosOptions};
 use ig_match_repro::netlist::generate::mcnc_benchmark;
-use ig_match_repro::sparse::{
-    shard_ranges, vecops, BudgetMeter, CsrMatrix, Laplacian, LinearOperator as _,
-};
+use ig_match_repro::sparse::{shard_ranges, vecops, BudgetMeter, Laplacian, LinearOperator as _};
 use np_testkit::{check_cases, degenerate_hypergraph};
 use std::sync::Arc;
 
@@ -130,45 +128,45 @@ fn rand_vec(seed: u64, n: usize) -> Vec<f64> {
 }
 
 #[test]
-fn blocked_spmv_bit_identical_to_reference_across_thread_counts() {
+fn sharded_spmv_bit_identical_to_reference_across_thread_counts() {
     let hg = mcnc_benchmark("bm1").expect("suite benchmark").hypergraph;
     let a = clique_adjacency(&hg);
+    let lap = Laplacian::from_adjacency(a.clone());
     let n = a.dim();
     let x = rand_vec(0xB10C, n);
-    let mut reference = vec![0.0; n];
-    a.apply_rows_unblocked(0, &x, &mut reference);
-    // The cache-blocked kernel must agree bit-for-bit at every block
-    // width, including widths far below the dispatch threshold.
-    for block in [1, 7, 64, 1000, CsrMatrix::SPMV_BLOCK_COLS] {
-        let mut out = vec![f64::NAN; n];
-        a.apply_rows_blocked(0, &x, &mut out, block);
-        assert!(
-            reference
-                .iter()
-                .zip(&out)
-                .all(|(p, q)| p.to_bits() == q.to_bits()),
-            "blocked SpMV differs from the straight loop at block width {block}"
-        );
-    }
-    // Row-sharded application (the threaded operators' shape) agrees at
-    // every thread count, blocked or not.
-    for threads in THREAD_COUNTS {
-        for block in [None, Some(64), Some(CsrMatrix::SPMV_BLOCK_COLS)] {
-            let mut out = vec![f64::NAN; n];
-            for (lo, hi) in shard_ranges(n, threads) {
-                match block {
-                    None => a.apply_rows(lo, &x, &mut out[lo..hi]),
-                    Some(b) => a.apply_rows_blocked(lo, &x, &mut out[lo..hi], b),
-                }
+    // Reference: one ascending single-accumulator pass per row, spelled
+    // out here so the kernels are checked against an independent loop.
+    let gather: Vec<f64> = (0..n)
+        .map(|r| {
+            let (cols, vals) = a.row(r);
+            let mut acc = 0.0;
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += v * x[c as usize];
             }
-            assert!(
-                reference
-                    .iter()
-                    .zip(&out)
-                    .all(|(p, q)| p.to_bits() == q.to_bits()),
-                "sharded SpMV differs at {threads} threads (block {block:?})"
-            );
+            acc
+        })
+        .collect();
+    let lap_reference: Vec<f64> = (0..n)
+        .map(|r| lap.degrees()[r] * x[r] - gather[r])
+        .collect();
+    let same_bits = |p: &[f64], q: &[f64]| p.iter().zip(q).all(|(p, q)| p.to_bits() == q.to_bits());
+    // Row-sharded application (the threaded operators' shape) agrees at
+    // every thread count.
+    for threads in THREAD_COUNTS {
+        let mut out = vec![f64::NAN; n];
+        let mut lap_out = vec![f64::NAN; n];
+        for (lo, hi) in shard_ranges(n, threads) {
+            a.apply_rows(lo, &x, &mut out[lo..hi]);
+            lap.apply_rows(lo, &x, &mut lap_out[lo..hi]);
         }
+        assert!(
+            same_bits(&gather, &out),
+            "sharded SpMV differs at {threads} threads"
+        );
+        assert!(
+            same_bits(&lap_reference, &lap_out),
+            "sharded Laplacian apply differs at {threads} threads"
+        );
     }
 }
 
@@ -185,20 +183,6 @@ fn fused_vecops_match_unfused_on_random_and_degenerate_vectors() {
     cases.push((vec![1.25; 33], vec![-2.5; 33], vec![0.5; 33]));
     for (x, y, z) in &cases {
         let n = x.len();
-        // axpy-then-dot vs fused axpy_dot: same vector, same scalar.
-        let mut plain = y.clone();
-        vecops::axpy(0.37, x, &mut plain);
-        let want = vecops::dot(z, &plain);
-        let mut fused = y.clone();
-        let got = vecops::axpy_dot(0.37, x, &mut fused, z);
-        assert_eq!(want.to_bits(), got.to_bits(), "axpy_dot scalar at n={n}");
-        assert!(
-            plain
-                .iter()
-                .zip(&fused)
-                .all(|(p, q)| p.to_bits() == q.to_bits()),
-            "axpy_dot vector at n={n}"
-        );
         // two axpys vs fused axpy2.
         let mut plain = y.clone();
         vecops::axpy(0.37, x, &mut plain);
@@ -227,20 +211,6 @@ fn fused_vecops_match_unfused_on_random_and_degenerate_vectors() {
                 .all(|(p, q)| p.to_bits() == q.to_bits()),
             "orthogonalize_fused at n={n}"
         );
-        // The hot-dot dispatch: bit-identical to `dot` by default; under
-        // `reassoc-fast` it reassociates, so the contract weakens to a
-        // relative tolerance (DESIGN.md §16).
-        let exact = vecops::dot(x, y);
-        let hot = vecops::dot_hot(x, y);
-        if cfg!(feature = "reassoc-fast") {
-            let tol = (n as f64).max(1.0) * f64::EPSILON * 64.0 * exact.abs().max(1.0);
-            assert!(
-                (exact - hot).abs() <= tol,
-                "dot_hot out of tolerance at n={n}: {exact} vs {hot}"
-            );
-        } else {
-            assert_eq!(exact.to_bits(), hot.to_bits(), "dot_hot bits at n={n}");
-        }
     }
 }
 
